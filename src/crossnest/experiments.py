@@ -9,11 +9,13 @@ must land in the target set, be distinct, invert, and cover everything.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
-from multiprocessing import Pool
+from math import comb
+from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
 
 from . import _kernel
@@ -161,18 +163,85 @@ def count_avoiders(shape: Shape, profile: SumProfile, pattern: PatternMatrix) ->
     )
 
 
+def _count_compositions(total: int, slots: int) -> int:
+    """How many tuples ``compositions(total, slots)`` yields."""
+    if slots == 0:
+        return int(total == 0)
+    return comb(total + slots - 1, slots - 1)
+
+
+def _fillings_within(
+    parts: tuple[int, ...], max_total: int
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]]:
+    """Yield ``(support, filling, row_sums, col_sums)`` for every filling of
+    the diagram with total at most ``max_total``.
+
+    Cells are assigned in row-major order, each from 0 up to the budget the
+    cells before it left, so every filling appears exactly once.  Bit ``k``
+    of ``support`` is set when the k-th cell in row-major order is nonzero.
+    """
+    cells = [(i, j) for i, length in enumerate(parts) for j in range(length)]
+    ncells = len(cells)
+    grid = [[0] * length for length in parts]
+    row_sums = [0] * len(parts)
+    col_sums = [0] * (parts[0] if parts else 0)
+
+    def rec(idx: int, budget: int, support: int):
+        if idx == ncells:
+            yield support, tuple(map(tuple, grid)), tuple(row_sums), tuple(col_sums)
+            return
+        i, j = cells[idx]
+        row = grid[i]
+        yield from rec(idx + 1, budget, support)
+        support |= 1 << idx
+        for value in range(1, budget + 1):
+            row[j] = value
+            row_sums[i] += 1
+            col_sums[j] += 1
+            yield from rec(idx + 1, budget - value, support)
+        row[j] = 0
+        row_sums[i] -= budget
+        col_sums[j] -= budget
+
+    yield from rec(0, max_total, 0)
+
+
+def _avoiders_by_sums(
+    parts: tuple[int, ...], fillings: list, pattern_rows: tuple[tuple[int, ...], ...]
+) -> Counter:
+    """Avoiders of the pattern among ``fillings``, keyed by
+    ``(row_sums, col_sums)``; containment is tested once per support."""
+    contained: dict[int, bool] = {}
+    avoiders: Counter = Counter()
+    for support, filling, row_sums, col_sums in fillings:
+        hit = contained.get(support)
+        if hit is None:
+            hit = contained[support] = _kernel.contains(parts, filling, pattern_rows)
+        if not hit:
+            avoiders[row_sums, col_sums] += 1
+    return avoiders
+
+
 def _verify_shape_worker(args) -> tuple[int, list[str]]:
     parts, p1_rows, p2_rows, max_total = args
-    shape = Shape(parts)
-    instances = 0
+    ncols = parts[0] if parts else 0
+    instances = sum(
+        _count_compositions(total, len(parts)) * _count_compositions(total, ncols)
+        for total in range(max_total + 1)
+    )
+    fillings = list(_fillings_within(parts, max_total))
+    avoiders1 = _avoiders_by_sums(parts, fillings, p1_rows)
+    avoiders2 = _avoiders_by_sums(parts, fillings, p2_rows)
     mismatches = []
-    for profile in iter_profiles(shape, max_total):
-        instances += 1
-        count1 = _kernel.count_avoiders(parts, profile.row_sums, profile.col_sums, p1_rows)
-        count2 = _kernel.count_avoiders(parts, profile.row_sums, profile.col_sums, p2_rows)
+    # (total, row_sums, col_sums) is the order iter_profiles visits them in.
+    for row_sums, col_sums in sorted(
+        avoiders1.keys() | avoiders2.keys(), key=lambda sums: (sum(sums[0]), sums)
+    ):
+        count1 = avoiders1[row_sums, col_sums]
+        count2 = avoiders2[row_sums, col_sums]
         if count1 != count2:
             mismatches.append(
-                f"shape={parts} rows={profile.row_sums} cols={profile.col_sums}: "
+                f"shape={parts} rows={row_sums} cols={col_sums}: "
                 f"{count1} != {count2}"
             )
     return instances, mismatches
@@ -187,13 +256,33 @@ def verify_equirestrictive(
 ) -> ExperimentReport:
     """Sweep every shape and prescription within bounds and compare the
     avoider counts of the two patterns.  The sweep runs smallest shapes
-    first, so the first recorded mismatch is a minimal counterexample."""
+    first, so the first recorded mismatch is a minimal counterexample.
+
+    Each shape's fillings of total at most ``max_total`` are enumerated
+    once, and each pattern's avoiders among them are bucketed by their
+    (row sums, column sums); a bucket's size is the avoider count of that
+    prescription, and a prescription with no bucket has none.  Containment
+    is tested once per support (the set of nonzero cells) and reused for
+    every filling with that support.  This is exact because an occurrence
+    only asks which cells are nonzero, never what they hold.  Mismatches
+    are listed in the order of ``iter_profiles``.
+
+    Shapes are split over ``min(jobs, os.cpu_count(), shapes)`` worker
+    processes.  Negative bounds and ``jobs < 1`` raise ``ValueError``.
+    """
+    if max_cells < 0 or max_total < 0:
+        raise ValueError(
+            f"bounds must be nonnegative: max_cells={max_cells}, max_total={max_total}"
+        )
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1: {jobs}")
     started = time.perf_counter()
     tasks = [
         (shape.parts, p1.rows, p2.rows, max_total) for shape in iter_shapes(max_cells)
     ]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    processes = min(jobs, os.cpu_count() or 1, len(tasks))
+    if processes > 1:
+        with get_context("spawn").Pool(processes) as pool:
             results = pool.map(_verify_shape_worker, tasks)
     else:
         results = [_verify_shape_worker(task) for task in tasks]

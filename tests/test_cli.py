@@ -161,6 +161,18 @@ class TestVerifyAndExperiment:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--max-cells", "-1"), ("--max-total", "-2"), ("--jobs", "0")],
+    )
+    def test_verify_rejects_empty_sweep(self, capsys, option, value):
+        code, out, err = run_cli(
+            capsys, "verify", "--p1", "I2", "--p2", "J2", option, value
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_experiment_machine_format(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from crossnest import experiments
 from crossnest.experiments import (
     ExperimentReport,
     catalan_numbers,
@@ -93,6 +94,103 @@ class TestVerifyEquirestrictive:
         par = verify_equirestrictive(identity(2), antiidentity(2), 5, 3, jobs=2)
         assert seq.counts == par.counts
         assert seq.verdict == par.verdict
+
+
+def reference_sweep(p1, p2, max_cells, max_total):
+    """The sweep one prescription at a time, as counts and failure lines."""
+    instances = 0
+    failures = []
+    shapes = list(iter_shapes(max_cells))
+    for shape in shapes:
+        for profile in iter_profiles(shape, max_total):
+            instances += 1
+            count1 = count_avoiders(shape, profile, p1)
+            count2 = count_avoiders(shape, profile, p2)
+            if count1 != count2:
+                failures.append(
+                    f"shape={shape.parts} rows={profile.row_sums} "
+                    f"cols={profile.col_sums}: {count1} != {count2}"
+                )
+    counts = {"shapes": len(shapes), "instances": instances, "violations": len(failures)}
+    return counts, failures
+
+
+class TestSweepMatchesPerProfileReference:
+    @pytest.mark.parametrize(
+        "spec1, spec2",
+        [("I2", "J2"), ("I3", "J3"), ("F3", "J3"), ("M213", "M132")],
+    )
+    def test_passing_pairs(self, spec1, spec2):
+        p1, p2 = parse_pattern(spec1), parse_pattern(spec2)
+        report = verify_equirestrictive(p1, p2, 6, 3)
+        counts, failures = reference_sweep(p1, p2, 6, 3)
+        assert report.counts == counts
+        assert list(report.failures) == failures
+
+    def test_failing_pair_lists_failures_in_reference_order(self):
+        p1, p2 = identity(2), antiidentity(3)
+        report = verify_equirestrictive(p1, p2, 7, 4)
+        counts, failures = reference_sweep(p1, p2, 7, 4)
+        assert failures
+        assert report.counts == counts
+        assert list(report.failures) == failures
+
+    def test_failing_pair_parallel_matches_sequential(self):
+        seq = verify_equirestrictive(identity(2), antiidentity(3), 7, 4, jobs=1)
+        par = verify_equirestrictive(identity(2), antiidentity(3), 7, 4, jobs=2)
+        assert seq.verdict == par.verdict == "fail"
+        assert seq.counts == par.counts
+        assert seq.failures == par.failures
+
+
+class TestSweepWorkerPool:
+    """The pool is faked, so these tests start no process."""
+
+    def fake_spawn(self, monkeypatch, cpus):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        class FakeContext:
+            Pool = FakePool
+
+        def get_context(method):
+            assert method == "spawn"
+            return FakeContext
+
+        monkeypatch.setattr(experiments, "get_context", get_context)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        return started
+
+    def test_capped_by_cpu_count(self, monkeypatch):
+        started = self.fake_spawn(monkeypatch, cpus=3)
+        report = verify_equirestrictive(identity(2), antiidentity(2), 4, 2, jobs=10**6)
+        assert started == [3]
+        assert report.verdict == "pass"
+        assert report.counts["shapes"] == 12
+
+    def test_capped_by_shape_count(self, monkeypatch):
+        started = self.fake_spawn(monkeypatch, cpus=64)
+        report = verify_equirestrictive(identity(2), antiidentity(2), 2, 2, jobs=10**6)
+        assert started == [4]
+        assert report.counts["shapes"] == 4
+
+    def test_unknown_cpu_count_runs_in_process(self, monkeypatch):
+        started = self.fake_spawn(monkeypatch, cpus=None)
+        report = verify_equirestrictive(identity(2), antiidentity(2), 3, 2, jobs=10**6)
+        assert started == []
+        assert report.verdict == "pass"
 
 
 class TestReports:
