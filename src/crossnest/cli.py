@@ -2,12 +2,15 @@
 
 Exit codes: 0 when the requested check passes (or the command is purely
 computational), 1 when a counting claim is violated, 2 on usage or format
-errors (including inputs that break a command's precondition).
+errors (including inputs that break a command's precondition), and 141
+(the shell's status for a process ended by SIGPIPE) when standard output
+is closed before everything is written, as in ``crossnest ... | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -15,6 +18,7 @@ from . import _kernel, bijection, codec, experiments, graphs, patterns, shapes
 
 USAGE_ERROR = 2
 CLAIM_VIOLATED = 1
+OUTPUT_CLOSED = 141  # 128 + SIGPIPE (13)
 
 
 def _read_input(path: Optional[str]) -> str:
@@ -230,10 +234,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here so a closed pipe surfaces below, not at exit.
+        sys.stdout.flush()
+        return code
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # The reader stopped early; that is not a usage error.  Point stdout
+        # at devnull so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return OUTPUT_CLOSED
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -56,18 +56,26 @@ class LeftRightGraph:
         if not self.isolated_openings <= isolated:
             raise ValueError("isolated_openings may only tag isolated vertices")
 
+    def _sides(self) -> list[str]:
+        """'opening' or 'closing' for every vertex, from one degree sequence."""
+        return [
+            "opening"
+            if right or (not left and vertex in self.isolated_openings)
+            else "closing"
+            for vertex, (left, right) in enumerate(
+                degree_sequence(self.graph).pairs, start=1
+            )
+        ]
+
     def side(self, vertex: int) -> str:
         """'opening' or 'closing' for a 1-based vertex."""
-        left, right = degree_sequence(self.graph).pairs[vertex - 1]
-        if right or (not left and vertex in self.isolated_openings):
-            return "opening"
-        return "closing"
+        return self._sides()[vertex - 1]
 
     def openings(self) -> list[int]:
-        return [v for v in range(1, self.graph.n + 1) if self.side(v) == "opening"]
+        return [v for v, side in enumerate(self._sides(), start=1) if side == "opening"]
 
     def closings(self) -> list[int]:
-        return [v for v in range(1, self.graph.n + 1) if self.side(v) == "closing"]
+        return [v for v, side in enumerate(self._sides(), start=1) if side == "closing"]
 
 
 def delta_encode(graph: Multigraph) -> Filling:

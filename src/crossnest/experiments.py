@@ -15,7 +15,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from multiprocessing import get_context
 from typing import Callable, Iterator, Optional
 
 from . import _kernel
@@ -245,6 +244,15 @@ def _verify_shape_worker(args) -> tuple[int, list[str]]:
                 f"{count1} != {count2}"
             )
     return instances, mismatches
+
+
+def get_context(method: str):
+    """``multiprocessing.get_context``, imported on first use: only a
+    parallel sweep needs it, and importing the package adds to the memory
+    of every process that does."""
+    import multiprocessing
+
+    return multiprocessing.get_context(method)
 
 
 def verify_equirestrictive(
@@ -655,13 +663,46 @@ EXPERIMENTS: dict[str, Callable[[dict], tuple[dict, dict[str, int], list[str]]]]
 }
 
 
+# The bound keys each experiment reads, with the least value each accepts.
+BOUND_KEYS: dict[str, dict[str, int]] = {
+    "cor2_2": {"n": 0, "m": 0},
+    "cor2_4": {"n": 0, "m": 0},
+    "cor2_6": {"n": 0, "m": 0},
+    "cor3_3": {"n": 0},
+    "thm3_5": {"n": 0, "total_degree": 0, "k": 1},
+    "cor3_9": {"n": 0, "m": 0, "k": 1},
+    "counterexample_simple": {},
+    "noy_matchings": {"vertices": 0},
+    "catalan": {"n": 0},
+    "m213_m132_spot": {"max_cells": 0},
+}
+
+
 def run_experiment(
     experiment_id: str, bounds: Optional[dict] = None, jobs: int = 1
 ) -> ExperimentReport:
-    """Run a canned experiment and report counts plus a derived verdict."""
+    """Run a canned experiment and report counts plus a derived verdict.
+
+    Raises ``ValueError`` for an unknown experiment, a bound key the
+    experiment does not read, a bound below its least value (negative, or
+    ``k < 1``), or ``jobs < 1``.
+    """
     if experiment_id not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {experiment_id!r}; known: {known}")
+    minimums = BOUND_KEYS[experiment_id]
+    for key, value in (bounds or {}).items():
+        if key not in minimums:
+            known = ", ".join(sorted(minimums)) or "none"
+            raise ValueError(
+                f"experiment {experiment_id} reads no bound {key!r}; known: {known}"
+            )
+        if value < minimums[key]:
+            raise ValueError(
+                f"bound {key}={value} is below its least value {minimums[key]}"
+            )
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1: {jobs}")
     started = time.perf_counter()
     parameters, counts, failures = EXPERIMENTS[experiment_id](bounds or {})
     parameters["jobs"] = jobs

@@ -11,6 +11,7 @@ all their cells are nonempty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Optional
 
@@ -74,6 +75,7 @@ class Occurrence:
         return [(self.rows[i - 1], self.cols[j - 1]) for i, j in pattern.ones()]
 
 
+@lru_cache(maxsize=None)
 def identity(k: int) -> PatternMatrix:
     """k x k matrix with 1s on the main diagonal."""
     if k < 1:
@@ -83,6 +85,7 @@ def identity(k: int) -> PatternMatrix:
     )
 
 
+@lru_cache(maxsize=None)
 def antiidentity(k: int) -> PatternMatrix:
     """k x k matrix with 1s on the main antidiagonal."""
     if k < 1:
@@ -99,6 +102,7 @@ def block_diag(a: PatternMatrix, b: PatternMatrix) -> PatternMatrix:
     return PatternMatrix(top + bottom)
 
 
+@lru_cache(maxsize=None)
 def f_matrix(t: int) -> PatternMatrix:
     """The t x t block matrix with an antidiagonal of order t-1 top-left and
     a single 1 bottom-right; the intermediate pattern of the avoidance
@@ -161,21 +165,62 @@ def occurrences(filling: Filling, pattern: PatternMatrix) -> list[Occurrence]:
 
 
 def max_identity_order(filling: Filling) -> int:
-    """Largest k such that the order-k identity pattern is contained."""
-    return _max_order(filling, identity)
+    """Largest k such that the order-k identity pattern is contained.
+
+    This is the length of the longest chain of nonempty cells going
+    strictly down and to the right.  The last cell of such a chain is the
+    corner of its selection and is nonempty, so the corner condition holds
+    by itself.
+    """
+    cells = filling.nonempty_cells()
+    # chain[idx] is the longest such chain ending at cells[idx]; the
+    # row-major order puts every possible predecessor before it.
+    chain: list[int] = []
+    for row, col in cells:
+        chain.append(
+            1
+            + max(
+                (
+                    length
+                    for (r, c), length in zip(cells, chain)
+                    if r < row and c < col
+                ),
+                default=0,
+            )
+        )
+    return max(chain, default=0)
 
 
 def max_antiidentity_order(filling: Filling) -> int:
-    """Largest k such that the order-k antidiagonal pattern is contained."""
-    return _max_order(filling, antiidentity)
+    """Largest k such that the order-k antidiagonal pattern is contained.
 
-
-def _max_order(filling, make_pattern) -> int:
-    bound = min(filling.shape.num_rows, filling.shape.num_cols)
-    k = 0
-    while k < bound and contains(filling, make_pattern(k + 1)):
-        k += 1
-    return k
+    An occurrence is a chain of nonempty cells going strictly up and to the
+    right whose last column fits in the row of its first (bottom-left)
+    cell: that is the corner condition.  So for each distinct row length L
+    this takes the longest such chain in columns at most L that starts in
+    a row of length L, and returns the largest of these.
+    """
+    parts = filling.shape.parts
+    nonempty = filling.nonempty_cells()
+    best = 0
+    for limit in set(parts):
+        cells = [(r, c) for (r, c) in nonempty if c <= limit]
+        # chain[idx] is the longest up-right chain starting at cells[idx];
+        # the row-major order puts every cell above it first.
+        chain: list[int] = []
+        for row, col in cells:
+            length = 1 + max(
+                (
+                    above
+                    for (r, c), above in zip(cells, chain)
+                    if r < row and c > col
+                ),
+                default=0,
+            )
+            chain.append(length)
+            if parts[row - 1] == limit:
+                best = max(best, length)
+    return best
 
 
 def antidiagonal_cells(occ: Occurrence) -> list[Cell]:
@@ -194,29 +239,48 @@ def f_cells(occ: Occurrence) -> list[Cell]:
     return cells
 
 
-def _j_order_key(occ: Occurrence) -> tuple[Cell, ...]:
-    # Left-to-right comparison; higher cells first, ties broken leftward.
-    return tuple(antidiagonal_cells(occ))
-
-
-def _f_order_key(occ: Occurrence) -> tuple[Cell, ...]:
-    # Right-to-left comparison; lower cells first, ties broken rightward.
-    return tuple((-r, -c) for (r, c) in reversed(f_cells(occ)))
-
-
 def first_j_occurrence(filling: Filling, t: int) -> Optional[Occurrence]:
     """Minimum occurrence of the order-t antidiagonal pattern.
 
     Occurrences are compared cell by cell from left to right: at the first
     differing cell the higher one precedes, and at equal height the one
     further left precedes.  Returns None when the pattern is absent.
+
+    The search is depth first and lists nothing: it picks the cells left
+    to right, tries the candidates for each in that same order (row-major),
+    and returns the first complete occurrence, which is the minimum.  The
+    first cell's row length bounds every later column (the corner
+    condition).
     """
     if t < 1:
         raise ValueError("order must be at least 1")
-    occs = occurrences(filling, antiidentity(t))
-    if not occs:
+    parts = filling.shape.parts
+    cells = filling.nonempty_cells()
+
+    def extend(chain: list[Cell], limit: int) -> Optional[list[Cell]]:
+        if len(chain) == t:
+            return chain
+        row, col = chain[-1]
+        after = t - len(chain) - 1  # cells still needed after this one
+        for r, c in cells:
+            if r >= row:
+                break
+            if col < c <= limit - after and r > after:
+                found = extend(chain + [(r, c)], limit)
+                if found is not None:
+                    return found
         return None
-    return min(occs, key=_j_order_key)
+
+    for r, c in cells:
+        limit = parts[r - 1]
+        if c + t - 1 <= limit and r >= t:
+            found = extend([(r, c)], limit)
+            if found is not None:
+                return Occurrence(
+                    tuple(row for row, _ in reversed(found)),
+                    tuple(col for _, col in found),
+                )
+    return None
 
 
 def first_f_occurrence(filling: Filling, t: int) -> Optional[Occurrence]:
@@ -225,13 +289,46 @@ def first_f_occurrence(filling: Filling, t: int) -> Optional[Occurrence]:
     Occurrences are compared cell by cell from right to left: at the first
     differing cell the lower one precedes, and at equal height the one
     further right precedes.  Returns None when the pattern is absent.
+
+    The search is depth first and lists nothing: it picks the corner cell,
+    then the antidiagonal cells right to left, tries the candidates for
+    each in that same order (reverse row-major), and returns the first
+    complete occurrence, which is the minimum.  The corner cell is
+    nonempty, so the corner condition holds by itself.
     """
     if t < 2:
         raise ValueError("order must be at least 2")
-    occs = occurrences(filling, f_matrix(t))
-    if not occs:
+    cells = filling.nonempty_cells()
+    cells.reverse()
+
+    def extend(chain: list[Cell]) -> Optional[list[Cell]]:
+        if len(chain) == t:
+            return chain
+        corner_row = chain[0][0]
+        # Rows of the antidiagonal cells grow right to left, below the
+        # previous one and above the corner; columns shrink.
+        top = chain[-1][0] if len(chain) > 1 else 0
+        col = chain[-1][1]
+        after = t - len(chain) - 1  # cells still needed after this one
+        for r, c in cells:
+            if r <= top:
+                break
+            if r < corner_row - after and after < c < col:
+                found = extend(chain + [(r, c)])
+                if found is not None:
+                    return found
         return None
-    return min(occs, key=_f_order_key)
+
+    for r, c in cells:
+        if r >= t and c >= t:
+            found = extend([(r, c)])
+            if found is not None:
+                anti = found[1:]
+                return Occurrence(
+                    tuple(row for row, _ in anti) + (r,),
+                    tuple(col for _, col in reversed(anti)) + (c,),
+                )
+    return None
 
 
 def parse_pattern(spec: str) -> PatternMatrix:

@@ -284,3 +284,77 @@ class TestGraphBiject:
                     out = graph_biject(graph, 2, "forward")
                     assert degree_sequence(out) == degrees
                     assert cross(out) < 2
+
+
+class TestPreconditionsMatchContainment:
+    """The chain-length precondition checks against brute-force containment."""
+
+    # I_3 and J_3 need three rows whose bottom one has three cells, so
+    # order 3 is swept at 9 cells; at 8 cells nothing would be rejected.
+    @pytest.mark.parametrize("t, max_cells, max_total", [(2, 8, 3), (3, 9, 4)])
+    @pytest.mark.parametrize("direction, make, name", [
+        ("forward", identity, "identity"), ("backward", antiidentity, "antidiagonal"),
+    ])
+    def test_rejects_exactly_the_containing(
+        self, t, max_cells, max_total, direction, make, name
+    ):
+        from oracles import brute_contains
+
+        rejected = 0
+        for filling in sweep_fillings(max_cells, max_total):
+            parts, grid = filling.shape.parts, filling.rows
+            if brute_contains(parts, grid, make(t).rows):
+                with pytest.raises(PreconditionError, match=name):
+                    it_jt_biject(filling, t, direction)
+                rejected += 1
+            else:
+                image = it_jt_biject(filling, t, direction)
+                assert sums_of(image) == sums_of(filling)
+        assert rejected > 0
+
+    @pytest.mark.parametrize("t, max_cells, max_total", [(2, 7, 3), (3, 9, 3)])
+    def test_a1_rejects_exactly_the_f_containing(self, t, max_cells, max_total):
+        from oracles import brute_contains
+
+        rejected = 0
+        for filling in sweep_fillings(max_cells, max_total):
+            if brute_contains(filling.shape.parts, filling.rows, f_matrix(t).rows):
+                with pytest.raises(PreconditionError):
+                    a1(filling, t)
+                rejected += 1
+            else:
+                assert not contains(a1(filling, t), antiidentity(t))
+        assert rejected > 0
+
+
+class TestChecksSurviveOptimize:
+    def test_transfer_sum_check_runs_under_dash_o(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # Moving a unit along a row keeps the row sums but breaks the
+        # column sums, so the sum-preservation check must fire.
+        script = (
+            "from crossnest.bijection import _transfer\n"
+            "from crossnest.shapes import filling_from_rows\n"
+            "try:\n"
+            "    _transfer(filling_from_rows([[1, 0]]), [(1, 1)], [(1, 2)])\n"
+            "except AssertionError as exc:\n"
+            "    print('raised:', exc)\n"
+            "else:\n"
+            "    print('not raised')\n"
+            "assert False, 'plain asserts are stripped'\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "raised: transfer must preserve sums"

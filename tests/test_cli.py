@@ -202,3 +202,50 @@ class TestKernelCommand:
         code, out, _ = run_cli(capsys, "kernel")
         assert code == 0
         assert out.strip() in {"compiled", "pure-python", "pure-python (forced)"}
+
+
+class TestExperimentRejectsIgnoredOrEmptyBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bounds", "N=3"],
+            ["--bounds", "n=-3"],
+            ["--jobs", "-5"],
+        ],
+        ids=["unknown-key", "negative-bound", "jobs-below-one"],
+    )
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "experiment", "catalan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+class TestClosedOutput:
+    def test_closed_stdout_is_not_a_usage_error(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # A pipe whose reader is already gone: the first write fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [
+                    sys.executable, "-m", "crossnest.cli", "enumerate-fillings",
+                    "--shape", "4,4,3,2", "--rows", "3,3,2,2", "--cols", "3,3,2,2",
+                ],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == 141
+        assert result.stderr == ""

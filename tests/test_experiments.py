@@ -260,3 +260,27 @@ class TestPatternSpecIntegration:
             parse_pattern("I2"), parse_pattern("F2"), 4, 2
         )
         assert report.verdict == "pass"
+
+
+class TestRunExperimentRejectsBadArguments:
+    def test_every_experiment_declares_its_bounds(self):
+        assert set(experiments.BOUND_KEYS) == set(experiments.EXPERIMENTS)
+
+    @pytest.mark.parametrize(
+        "experiment_id, bounds, jobs",
+        [
+            ("catalan", {"N": 3}, 1),
+            ("counterexample_simple", {"n": 3}, 1),
+            ("catalan", {"n": -3}, 1),
+            ("thm3_5", {"k": 0}, 1),
+            ("catalan", {"n": 3}, 0),
+            ("catalan", {"n": 3}, -5),
+        ],
+    )
+    def test_value_error(self, experiment_id, bounds, jobs):
+        with pytest.raises(ValueError):
+            run_experiment(experiment_id, bounds, jobs=jobs)
+
+    def test_declared_keys_at_their_least_values_run(self):
+        report = run_experiment("cor2_2", {"n": 0, "m": 0})
+        assert report.verdict == "pass"

@@ -292,3 +292,66 @@ class TestParse:
             parse_pattern("Q7")
         with pytest.raises(ValueError):
             parse_pattern("0,2;1,0")
+
+
+# The occurrence orders written out as keys over every occurrence: the
+# definitions that the depth-first searches must reproduce.
+def _j_order_by_listing(occ):
+    # Left to right; higher cells first, ties broken leftward.
+    return tuple(antidiagonal_cells(occ))
+
+
+def _f_order_by_listing(occ):
+    # Right to left; lower cells first, ties broken rightward.
+    return tuple((-r, -c) for (r, c) in reversed(f_cells(occ)))
+
+
+class TestSearchesMatchListingDefinitions:
+    @pytest.fixture(scope="class")
+    def fillings(self):
+        return list(small_fillings(max_cells=8, max_total=3))
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_first_j_is_minimum_of_all_occurrences(self, fillings, t):
+        for filling in fillings:
+            occs = occurrences(filling, antiidentity(t))
+            expected = min(occs, key=_j_order_by_listing) if occs else None
+            assert first_j_occurrence(filling, t) == expected, filling
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_first_f_is_minimum_of_all_occurrences(self, fillings, t):
+        for filling in fillings:
+            occs = occurrences(filling, f_matrix(t))
+            expected = min(occs, key=_f_order_by_listing) if occs else None
+            assert first_f_occurrence(filling, t) == expected, filling
+
+    def test_max_antiidentity_order_is_largest_contained(self, fillings):
+        for filling in fillings:
+            parts, grid = filling.shape.parts, filling.rows
+            expected = 0
+            while brute_contains(parts, grid, antiidentity(expected + 1).rows):
+                expected += 1
+            assert max_antiidentity_order(filling) == expected, filling
+
+    def test_corner_condition_bounds_the_antidiagonal_chain(self):
+        # Nonempty up-right chain of length 3 on a staircase: the bottom
+        # row has length 1, so no column past 1 may be used from it.
+        staircase = filling_from_rows([[0, 0, 1], [0, 1], [1]])
+        assert max_antiidentity_order(staircase) == 1
+        assert first_j_occurrence(staircase, 2) is None
+        square = filling_from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        assert max_antiidentity_order(square) == 3
+        assert first_j_occurrence(square, 3) == Occurrence((1, 2, 3), (1, 2, 3))
+
+
+class TestPatternsBuiltOnce:
+    def test_constant_patterns_are_shared(self):
+        assert identity(3) is identity(3)
+        assert antiidentity(4) is antiidentity(4)
+        assert f_matrix(3) is f_matrix(3)
+        assert parse_pattern("J3") is antiidentity(3)
+
+    def test_bad_order_still_raises(self):
+        for make in (identity, antiidentity, f_matrix):
+            with pytest.raises(ValueError):
+                make(0)
