@@ -1,34 +1,13 @@
-"""Kernel selection.
+"""The kernels, as every other module calls them.
 
-Prefers the compiled extension, falls back to the pure-Python kernel.
-``CROSSNEST_KERNEL=pure`` forces the fallback (useful for timing and for
-checking parity between the two backends).
+The kernels live in ``_purekern``.  Other modules call them through this
+module's names, so a tracer that patches these names and ``_purekern``'s
+own sees every call, including the kernels' calls to each other.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("CROSSNEST_KERNEL") == "pure":
-    from . import _purekern as _impl
-
-    BACKEND = "pure-python (forced)"
-else:
-    try:
-        from . import _fastkern as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _purekern as _impl  # type: ignore[no-redef]
-
-        BACKEND = "pure-python"
-
-iter_fillings = _impl.iter_fillings
-contains = _impl.contains
-count_avoiders = _impl.count_avoiders
-conjugate = _impl.conjugate
+from ._purekern import conjugate, contains, count_avoiders, iter_fillings
 
 
 def active_backend() -> str:
-    """Name of the kernel backend selected at import time."""
-    return BACKEND
+    """Name of the kernel implementation, stamped on benchmark reports."""
+    return "pure-python"

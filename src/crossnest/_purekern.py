@@ -1,8 +1,7 @@
 """Pure-Python enumeration and containment kernels.
 
-This is the reference backend.  A Cython twin with the same interface lives
-in ``_fastkern.pyx``; ``_kernel`` picks whichever is importable.  All three
-functions work on plain tuples so the two backends stay interchangeable:
+These are the only kernels; other modules reach them through ``_kernel``.
+They work on plain tuples rather than on ``Shape`` and ``Filling``:
 
 * ``parts``     -- weakly decreasing positive row lengths (possibly empty)
 * ``grid``      -- tuple of row tuples, row i holding ``parts[i]`` entries

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import _kernel, bijection, codec, experiments, graphs, patterns, shapes
+from . import bijection, codec, experiments, graphs, patterns, shapes
 
 USAGE_ERROR = 2
 CLAIM_VIOLATED = 1
@@ -43,7 +43,10 @@ def _parse_bounds(text: Optional[str]) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"bad bounds entry (expected key=value): {item!r}")
-        bounds[key.strip()] = int(value)
+        key = key.strip()
+        if key in bounds:
+            raise ValueError(f"bound {key!r} given more than once")
+        bounds[key] = int(value)
     return bounds
 
 
@@ -152,11 +155,6 @@ def _cmd_experiment(args) -> int:
     return 0 if report.verdict == "pass" else CLAIM_VIOLATED
 
 
-def _cmd_kernel(args) -> int:
-    print(_kernel.active_backend())
-    return 0
-
-
 def _emit_report(report: experiments.ExperimentReport, fmt: str) -> None:
     if fmt == "machine":
         print(report.to_json())
@@ -223,9 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_experiment)
-
-    p = sub.add_parser("kernel", help="print the active kernel backend")
-    p.set_defaults(func=_cmd_kernel)
 
     return parser
 

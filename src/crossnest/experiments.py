@@ -310,11 +310,11 @@ def verify_equirestrictive(
 # ── canned experiments ─────────────────────────────────────────
 
 
-def _exp_cor2_2(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
-    """Counts of multigraphs by order and size with crossing order below k
-    versus nesting order below k."""
-    max_n = bounds.get("n", 6)
-    max_m = bounds.get("m", 5)
+def _order_size_counts(
+    max_n: int, max_m: int, simple: bool
+) -> tuple[dict, dict[str, int], list[str]]:
+    """Graphs of each order n <= max_n and size m <= max_m with crossing
+    order below k versus nesting order below k, for k = 2, 3."""
     ks = (2, 3)
     counts: dict[str, int] = {}
     failures: list[str] = []
@@ -322,7 +322,7 @@ def _exp_cor2_2(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
         for m in range(max_m + 1):
             cross_hist: Counter = Counter()
             nest_hist: Counter = Counter()
-            for graph in enumerate_graphs_by_size(n, m):
+            for graph in enumerate_graphs_by_size(n, m, simple=simple):
                 cross_hist[cross(graph)] += 1
                 nest_hist[nest(graph)] += 1
             for k in ks:
@@ -335,6 +335,12 @@ def _exp_cor2_2(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
                         f"n={n} m={m} k={k}: {noncrossing} != {nonnesting}"
                     )
     return {"n": max_n, "m": max_m, "ks": list(ks)}, counts, failures
+
+
+def _exp_cor2_2(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+    """Counts of multigraphs by order and size with crossing order below k
+    versus nesting order below k."""
+    return _order_size_counts(bounds.get("n", 6), bounds.get("m", 5), simple=False)
 
 
 def _exp_cor2_4(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
@@ -366,28 +372,7 @@ def _exp_cor2_4(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
 
 def _exp_cor2_6(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
     """Simple-graph version of the order-and-size count equality."""
-    max_n = bounds.get("n", 7)
-    max_m = bounds.get("m", 6)
-    ks = (2, 3)
-    counts: dict[str, int] = {}
-    failures: list[str] = []
-    for n in range(max_n + 1):
-        for m in range(max_m + 1):
-            cross_hist: Counter = Counter()
-            nest_hist: Counter = Counter()
-            for graph in enumerate_graphs_by_size(n, m, simple=True):
-                cross_hist[cross(graph)] += 1
-                nest_hist[nest(graph)] += 1
-            for k in ks:
-                noncrossing = sum(v for stat, v in cross_hist.items() if stat < k)
-                nonnesting = sum(v for stat, v in nest_hist.items() if stat < k)
-                counts[f"n={n} m={m} k={k} noncrossing"] = noncrossing
-                counts[f"n={n} m={m} k={k} nonnesting"] = nonnesting
-                if noncrossing != nonnesting:
-                    failures.append(
-                        f"n={n} m={m} k={k}: {noncrossing} != {nonnesting}"
-                    )
-    return {"n": max_n, "m": max_m, "ks": list(ks)}, counts, failures
+    return _order_size_counts(bounds.get("n", 7), bounds.get("m", 6), simple=True)
 
 
 def _exp_cor3_3(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:

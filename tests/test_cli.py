@@ -197,13 +197,6 @@ class TestVerifyAndExperiment:
         assert excinfo.value.code == 2
 
 
-class TestKernelCommand:
-    def test_prints_backend(self, capsys):
-        code, out, _ = run_cli(capsys, "kernel")
-        assert code == 0
-        assert out.strip() in {"compiled", "pure-python", "pure-python (forced)"}
-
-
 class TestExperimentRejectsIgnoredOrEmptyBounds:
     @pytest.mark.parametrize(
         "argv",
@@ -211,8 +204,9 @@ class TestExperimentRejectsIgnoredOrEmptyBounds:
             ["--bounds", "N=3"],
             ["--bounds", "n=-3"],
             ["--jobs", "-5"],
+            ["--bounds", "n=2,n=3"],
         ],
-        ids=["unknown-key", "negative-bound", "jobs-below-one"],
+        ids=["unknown-key", "negative-bound", "jobs-below-one", "repeated-key"],
     )
     def test_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "experiment", "catalan", *argv)
