@@ -1,4 +1,4 @@
-"""Pure-Python enumeration and containment kernels.
+"""Pure-Python enumeration, containment and counting kernels.
 
 These are the only kernels; other modules reach them through ``_kernel``.
 They work on plain tuples rather than on ``Shape`` and ``Filling``:
@@ -8,10 +8,22 @@ They work on plain tuples rather than on ``Shape`` and ``Filling``:
 * ``pat``       -- rectangular 0/1 pattern as a tuple of row tuples
 
 Rows and columns are 0-based here; the public API converts to 1-based.
+
+``count_avoiders`` lists no filling and calls no other kernel.  It is a
+transfer over the rows, top to bottom, that carries only each open
+column's remaining sum and, for each prefix of the pattern's rows, the
+column sets that prefix already occupies on nonzero cells.  It is exact
+because an occurrence depends only on which cells are nonzero, on the
+order of the chosen rows and columns, and on the corner condition, and
+the carried state decides all three.
+
+Prescriptions that fail Hall's condition (``_feasible``) have no filling;
+both ``iter_fillings`` and ``count_avoiders`` return at once on them.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -27,6 +39,26 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(heights)
 
 
+def _feasible(
+    parts: Sequence[int], row_sums: Sequence[int], col_sums: Sequence[int]
+) -> bool:
+    """Whether some filling of the diagram has the prescribed sums.
+
+    Each row reaches a prefix of the columns, so Hall's condition comes
+    down to one check per distinct row length L: the rows of length at
+    most L need no more than columns 1..L hold.  With equal totals that
+    is also enough.
+    """
+    if sum(row_sums) != sum(col_sums):
+        return False
+    needed = 0
+    for i in range(len(parts) - 1, 0, -1):
+        needed += row_sums[i]
+        if parts[i - 1] > parts[i] and needed > sum(col_sums[: parts[i]]):
+            return False
+    return True
+
+
 def iter_fillings(
     parts: Sequence[int],
     row_sums: Sequence[int],
@@ -39,7 +71,7 @@ def iter_fillings(
     prescriptions yield nothing; the empty diagram with the empty profile
     yields exactly one empty filling.
     """
-    if sum(row_sums) != sum(col_sums):
+    if not _feasible(parts, row_sums, col_sums):
         return
     nrows = len(parts)
     if nrows == 0:
@@ -137,15 +169,145 @@ def contains(
     return False
 
 
+@lru_cache(maxsize=256)
+def _pattern_table(
+    pat: tuple[tuple[int, ...], ...], ncols: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Column tables of the pattern over the diagram's t-subsets of columns.
+
+    Returns ``(need, corner)``.  ``need[r][k]`` is the column bitmask that
+    pattern row ``r`` asks to be nonzero when the pattern's columns sit on
+    the k-th t-subset; ``corner[L]`` has bit k set when that subset's last
+    column fits in a row of length ``L``.
+    """
+    subsets = list(combinations(range(ncols), len(pat[0])))
+    need = tuple(
+        tuple(
+            sum(1 << cols[j] for j, one in enumerate(pat_row) if one)
+            for cols in subsets
+        )
+        for pat_row in pat
+    )
+    corner = tuple(
+        sum(1 << k for k, cols in enumerate(subsets) if cols[-1] < length)
+        for length in range(ncols + 1)
+    )
+    return need, corner
+
+
 def count_avoiders(
     parts: Sequence[int],
     row_sums: Sequence[int],
     col_sums: Sequence[int],
     pat: Sequence[Sequence[int]],
 ) -> int:
-    """Number of fillings with the prescribed sums that avoid the pattern."""
-    total = 0
-    for grid in iter_fillings(parts, row_sums, col_sums):
-        if not contains(parts, grid, pat):
-            total += 1
-    return total
+    """Number of fillings with the prescribed sums that avoid the pattern.
+
+    No filling is listed.  Rows are filled top to bottom, and a row's
+    entries are bounded by what each column still needs; a column whose
+    last row this is takes all of it.  What the rows above pass down is
+    the remaining column sums and one bitmask per pattern row r < s over
+    the t-subsets C of columns: bit C of level r is set when pattern rows
+    1..r already sit, in order, in distinct rows above, with every 1-entry
+    on a nonzero cell of C.  A row whose support completes pattern row s
+    from level s-1 under a C that fits the row's length (the corner
+    condition) closes an occurrence, so that branch is dropped.  This is
+    exact because an occurrence asks only which cells are nonzero, in
+    which rows and columns, and whether that corner is inside the diagram.
+    The count below a row depends only on the row, the remaining sums and
+    the levels, so it is memoised on them for the length of the call.
+    """
+    if not _feasible(parts, row_sums, col_sums):
+        return 0
+    nrows = len(parts)
+    if nrows == 0:
+        return 1
+    need, corner = _pattern_table(tuple(map(tuple, pat)), parts[0])
+    last = len(need) - 1
+    full = corner[-1]
+    # Columns at or past bounds[i] have their last cell in row i.
+    bounds = tuple(parts[1:]) + (0,)
+    memo: dict = {}
+    fills: dict = {}
+    steps: dict = {}
+    matches: dict = {}
+
+    def match(r: int, support: int) -> int:
+        """Subsets under which pattern row r lies on the support."""
+        key = (r, support)
+        mask = matches.get(key)
+        if mask is None:
+            mask = 0
+            for k, cols in enumerate(need[r]):
+                if not cols & ~support:
+                    mask |= 1 << k
+            matches[key] = mask
+        return mask
+
+    def step(i: int, levels: tuple[int, ...], support: int):
+        """Levels after row i, or None if row i closes an occurrence."""
+        key = (i, levels, support)
+        if key in steps:
+            return steps[key]
+        below = levels[-1] if last else full
+        if below & match(last, support) & corner[parts[i]]:
+            after = None
+        else:
+            fit = corner[bounds[i]]
+            after = tuple(
+                (level | ((levels[r - 1] if r else full) & match(r, support))) & fit
+                for r, level in enumerate(levels)
+            )
+        steps[key] = after
+        return after
+
+    def row_fills(caps: tuple[int, ...], amount: int) -> list:
+        """``(caps - row, support)`` for every row of free entries summing
+        to ``amount`` with each entry at most its cap."""
+        key = (caps, amount)
+        found = fills.get(key)
+        if found is None:
+            found = fills[key] = []
+            width = len(caps)
+            after = list(caps)
+
+            def place(j: int, left: int, support: int) -> None:
+                if j == width - 1:
+                    if left <= caps[j]:
+                        after[j] = caps[j] - left
+                        bit = 1 << j if left else 0
+                        found.append((tuple(after), support | bit))
+                    return
+                for value in range(min(left, caps[j]) + 1):
+                    after[j] = caps[j] - value
+                    bit = 1 << j if value else 0
+                    place(j + 1, left - value, support | bit)
+
+            if width:
+                place(0, amount, 0)
+            elif not amount:
+                found.append(((), 0))
+        return found
+
+    def count(i: int, rem: tuple[int, ...], levels: tuple[int, ...]) -> int:
+        key = (i, rem, levels)
+        total = memo.get(key)
+        if total is not None:
+            return total
+        free = bounds[i]
+        forced = 0
+        left = row_sums[i]
+        for j in range(free, parts[i]):
+            if rem[j]:
+                forced |= 1 << j
+                left -= rem[j]
+        total = 0
+        if left >= 0:
+            for after_rem, support in row_fills(rem[:free], left):
+                after = step(i, levels, support | forced)
+                if after is not None:
+                    total += count(i + 1, after_rem, after) if free else 1
+        memo[key] = total
+        return total
+
+    return count(0, tuple(col_sums), (0,) * last)

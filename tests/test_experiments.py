@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from crossnest import experiments
+from crossnest import _kernel, experiments
 from crossnest.experiments import (
     ExperimentReport,
     catalan_numbers,
@@ -19,7 +19,7 @@ from crossnest.experiments import (
 from crossnest.patterns import antiidentity, identity, parse_pattern
 from crossnest.shapes import Shape, SumProfile
 
-from oracles import catalan_closed_form
+from oracles import brute_contains, brute_fillings, catalan_closed_form
 
 
 class TestSweepHelpers:
@@ -64,6 +64,89 @@ class TestCountAvoiders:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             count_avoiders(Shape((2,)), SumProfile((1, 1), (2,)), identity(1))
+
+
+ORACLE_PATTERNS = (
+    "I1", "I2", "J2", "I3", "J3", "F3", "M213", "M132",
+    # A zero last row, a zero column, a zero first row, and a zero last
+    # column that only the corner condition can rule out.
+    "1,0;0,0", "0,1;0,1", "0,0;1,0", "1,0",
+)
+
+
+class TestCountAvoidersAgainstOracles:
+    def test_every_small_prescription(self):
+        pats = [parse_pattern(spec) for spec in ORACLE_PATTERNS]
+        for shape in iter_shapes(6):
+            for profile in iter_profiles(shape, 3):
+                fillings = brute_fillings(
+                    shape.parts, profile.row_sums, profile.col_sums
+                )
+                for pat in pats:
+                    expected = sum(
+                        not brute_contains(shape.parts, grid, pat.rows)
+                        for grid in fillings
+                    )
+                    assert count_avoiders(shape, profile, pat) == expected, (
+                        shape.parts, profile, pat.rows
+                    )
+
+    @pytest.mark.parametrize(
+        "parts, row_sums, col_sums, spec",
+        [
+            ((3, 3), (2, 1), (1, 1, 1), "I3"),
+            ((2, 2, 2), (1, 1, 2), (2, 2), "J3"),
+            ((2, 1, 1), (1, 2, 1), (3, 1), "1,0,0"),
+            ((3, 2), (1, 3), (2, 1, 1), "0;0;1"),
+        ],
+    )
+    def test_pattern_larger_than_shape_is_avoided(
+        self, parts, row_sums, col_sums, spec
+    ):
+        # Taller or wider than the diagram: every filling avoids it.
+        fillings = brute_fillings(parts, row_sums, col_sums)
+        assert fillings
+        shape, profile = Shape(parts), SumProfile(row_sums, col_sums)
+        assert count_avoiders(shape, profile, parse_pattern(spec)) == len(fillings)
+
+    @pytest.mark.parametrize(
+        "parts, row_sums, col_sums, fillings",
+        [
+            ((5, 4, 4, 3), (4, 3, 4, 3), (2, 4, 4, 3, 1), 1127),
+            ((5, 5, 4, 4), (4, 2, 3, 2), (3, 3, 2, 2, 1), 1018),
+            ((6, 5, 4, 3, 2), (7, 3, 2, 1, 1), (2, 4, 2, 3, 2, 1), 988),
+        ],
+    )
+    def test_deep_prescriptions(self, parts, row_sums, col_sums, fillings):
+        # Large enough that rows below share counts across many branches.
+        grids = list(_kernel.iter_fillings(parts, row_sums, col_sums))
+        assert len(grids) == fillings
+        shape, profile = Shape(parts), SumProfile(row_sums, col_sums)
+        for spec in ORACLE_PATTERNS:
+            pat = parse_pattern(spec)
+            expected = sum(
+                not _kernel.contains(parts, grid, pat.rows) for grid in grids
+            )
+            assert count_avoiders(shape, profile, pat) == expected, spec
+
+
+class TestCountingEnginesAgree:
+    @pytest.mark.parametrize("spec", ["I2", "J2", "I3", "J3"])
+    def test_buckets_equal_per_profile_counts(self, spec):
+        # The sweep's bucket of each profile is its avoider count, and a
+        # profile with no bucket has none.
+        pat = parse_pattern(spec)
+        unbucketed = 0
+        for shape in iter_shapes(7):
+            fillings = list(experiments._fillings_within(shape.parts, 4))
+            buckets = experiments._avoiders_by_sums(shape.parts, fillings, pat.rows)
+            for profile in iter_profiles(shape, 4):
+                sums = (profile.row_sums, profile.col_sums)
+                unbucketed += sums not in buckets
+                assert count_avoiders(shape, profile, pat) == buckets.get(sums, 0), (
+                    shape.parts, profile
+                )
+        assert unbucketed
 
 
 class TestVerifyEquirestrictive:
