@@ -9,21 +9,12 @@ They work on plain tuples rather than on ``Shape`` and ``Filling``:
 
 Rows and columns are 0-based here; the public API converts to 1-based.
 
-``count_avoiders`` lists no filling and calls no other kernel.  It is a
-transfer over the rows, top to bottom, that carries only each open
-column's remaining sum and, for each prefix of the pattern's rows, the
-column sets that prefix already occupies on nonzero cells.  It is exact
-because an occurrence depends only on which cells are nonzero, on the
-order of the chosen rows and columns, and on the corner condition, and
-the carried state decides all three.
-
-Prescriptions that fail Hall's condition (``_feasible``) have no filling;
-both ``iter_fillings`` and ``count_avoiders`` return at once on them.
+``count_avoiders`` counts by a row-by-row transfer and lists no filling;
+its docstring says how and why the count is exact.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
@@ -39,26 +30,6 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(heights)
 
 
-def _feasible(
-    parts: Sequence[int], row_sums: Sequence[int], col_sums: Sequence[int]
-) -> bool:
-    """Whether some filling of the diagram has the prescribed sums.
-
-    Each row reaches a prefix of the columns, so Hall's condition comes
-    down to one check per distinct row length L: the rows of length at
-    most L need no more than columns 1..L hold.  With equal totals that
-    is also enough.
-    """
-    if sum(row_sums) != sum(col_sums):
-        return False
-    needed = 0
-    for i in range(len(parts) - 1, 0, -1):
-        needed += row_sums[i]
-        if parts[i - 1] > parts[i] and needed > sum(col_sums[: parts[i]]):
-            return False
-    return True
-
-
 def iter_fillings(
     parts: Sequence[int],
     row_sums: Sequence[int],
@@ -71,7 +42,7 @@ def iter_fillings(
     prescriptions yield nothing; the empty diagram with the empty profile
     yields exactly one empty filling.
     """
-    if not _feasible(parts, row_sums, col_sums):
+    if sum(row_sums) != sum(col_sums):
         return
     nrows = len(parts)
     if nrows == 0:
@@ -169,9 +140,8 @@ def contains(
     return False
 
 
-@lru_cache(maxsize=256)
 def _pattern_table(
-    pat: tuple[tuple[int, ...], ...], ncols: int
+    pat: Sequence[Sequence[int]], ncols: int
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Column tables of the pattern over the diagram's t-subsets of columns.
 
@@ -216,13 +186,13 @@ def count_avoiders(
     which rows and columns, and whether that corner is inside the diagram.
     The count below a row depends only on the row, the remaining sums and
     the levels, so it is memoised on them for the length of the call.
+    Every column is emptied in its last row and the last row has no free
+    column, so a prescription with no filling counts 0 by itself.
     """
-    if not _feasible(parts, row_sums, col_sums):
-        return 0
     nrows = len(parts)
     if nrows == 0:
         return 1
-    need, corner = _pattern_table(tuple(map(tuple, pat)), parts[0])
+    need, corner = _pattern_table(pat, parts[0])
     last = len(need) - 1
     full = corner[-1]
     # Columns at or past bounds[i] have their last cell in row i.

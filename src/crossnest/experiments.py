@@ -154,15 +154,8 @@ def iter_profiles(shape: Shape, max_total: int) -> Iterator[SumProfile]:
 def count_avoiders(shape: Shape, profile: SumProfile, pattern: PatternMatrix) -> int:
     """Number of fillings with the prescribed sums avoiding the pattern.
 
-    No filling is listed: the kernel fills the shape row by row, carrying
-    each open column's remaining sum and, for each prefix of the pattern's
-    rows, the column sets under which that prefix already sits on nonzero
-    cells of distinct rows above.  A row that would complete the pattern
-    with its bottom-right corner inside the diagram is dropped, and equal
-    carried states are counted once.  The count is exact because whether
-    a filling contains the pattern depends only on its support, the order
-    of rows and columns, and that corner.  A prescription that fails
-    Hall's condition counts 0 at once.
+    The kernel counts by a row-by-row transfer and lists no filling; see
+    ``_purekern.count_avoiders``.
     """
     if len(profile.row_sums) != shape.num_rows:
         raise ValueError("profile row count does not match the shape")

@@ -91,6 +91,28 @@ class TestCountAvoidersAgainstOracles:
                         shape.parts, profile, pat.rows
                     )
 
+    def test_sums_with_no_filling_count_zero(self):
+        # Row and column totals drawn apart, so unequal totals and
+        # prescriptions that no filling of the diagram meets both occur.
+        pat = parse_pattern("I2")
+        empty = 0
+        for shape in iter_shapes(5):
+            for row_total in range(4):
+                for col_total in range(4):
+                    for row_sums in compositions(row_total, shape.num_rows):
+                        for col_sums in compositions(col_total, shape.num_cols):
+                            fillings = brute_fillings(shape.parts, row_sums, col_sums)
+                            empty += not fillings
+                            expected = sum(
+                                not brute_contains(shape.parts, grid, pat.rows)
+                                for grid in fillings
+                            )
+                            got = _kernel.count_avoiders(
+                                shape.parts, row_sums, col_sums, pat.rows
+                            )
+                            assert got == expected, (shape.parts, row_sums, col_sums)
+        assert empty
+
     @pytest.mark.parametrize(
         "parts, row_sums, col_sums, spec",
         [
