@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from typing import Callable, Literal
 
-from . import _kernel
-from .codec import LeftRightGraph, b_cells_of, lr_decode, lr_encode
+from .codec import b_cells_of, lr_decode, lr_encode, split_two_sided
 from .graphs import Multigraph, cross, degree_sequence, nest
-# ``f_matrix`` is not called here.  It stays bound, like ``identity`` and
+# ``identity`` and ``f_matrix`` are not called here.  They stay bound, like
 # ``antiidentity``, because perfbench's tracer counts pattern builds by
 # replacing these names in this module's namespace.
 from .patterns import (  # noqa: F401
-    PatternMatrix,
     antidiagonal_cells,
     antiidentity,
     contains,
@@ -179,41 +177,30 @@ def a2(filling: Filling, t: int, *, check: bool = False) -> Filling:
                 )
 
 
-def lift_block(
-    filling: Filling,
-    block: PatternMatrix,
-    inner: Callable[[Filling], Filling],
-) -> Filling:
-    """Apply a sum-preserving bijection to the sub-diagram that can see
-    ``block`` strictly below and to its right.
+def lift_block(filling: Filling, inner: Callable[[Filling], Filling]) -> Filling:
+    """Apply a sum-preserving bijection to the cells that see a nonzero
+    cell strictly below and to their right.
 
-    The eligible cells form a Ferrers sub-diagram (visibility is inherited
-    upward and leftward).  ``inner`` receives the restriction of the
-    filling to that sub-diagram and must return a filling of the same
-    shape with the same sums; the result is written back in place.  If a
-    filling avoids block_diag(M, block) its restriction avoids M, so with
-    ``inner`` the M-to-N bijection the output avoids block_diag(N, block).
+    One bottom-up pass finds them: row i's first ``reach`` cells are
+    eligible, where ``reach`` counts the columns left of the rightmost
+    nonzero entry in the rows below i (0 when those rows are all zero).
+    Those rows are no longer than row i, so the eligible cells form a
+    Ferrers sub-diagram.  ``inner`` receives the restriction of the
+    filling to it and must return a filling of the same shape with the
+    same sums; the result is written back in place.  If a filling
+    avoids block_diag(M, identity(1)) its restriction avoids M, so with
+    ``inner`` the M-to-N bijection the output avoids
+    block_diag(N, identity(1)).
     """
-    parts = filling.shape.parts
-    nrows = filling.shape.num_rows
     sub_lengths = []
-    for i in range(1, nrows + 1):
-        length = 0
-        for j in range(1, parts[i - 1] + 1):
-            # The region strictly below and right of cell (i, j), as the
-            # kernel's plain tuples: rows i+1.. cut to their columns j+1..
-            region_parts = []
-            region_rows = []
-            for r in range(i, nrows):
-                if parts[r] <= j:
-                    break
-                region_parts.append(parts[r] - j)
-                region_rows.append(filling.rows[r][j:])
-            if _kernel.contains(tuple(region_parts), tuple(region_rows), block.rows):
-                if length != j - 1:
-                    raise AssertionError("eligible cells are not left-justified")
-                length = j
-        sub_lengths.append(length)
+    reach = 0
+    for row in reversed(filling.rows):
+        sub_lengths.append(reach)
+        for j in range(len(row) - 1, reach, -1):
+            if row[j]:
+                reach = j
+                break
+    sub_lengths.reverse()
     for prev, cur in zip(sub_lengths, sub_lengths[1:]):
         if cur > prev:
             raise AssertionError("eligible region is not a Ferrers diagram")
@@ -256,68 +243,11 @@ def it_jt_biject(filling: Filling, t: int, direction: Direction) -> Filling:
     if direction == "forward":
         if max_identity_order(filling) >= t:
             raise PreconditionError("input must avoid the identity pattern")
-        lifted = lift_block(
-            filling, identity(1), lambda f: it_jt_biject(f, t - 1, "forward")
-        )
+        lifted = lift_block(filling, lambda f: it_jt_biject(f, t - 1, "forward"))
         return a1(lifted, t)
     # a2 rejects an input that contains the antidiagonal.
     unwound = a2(filling, t)
-    return lift_block(
-        unwound, identity(1), lambda f: it_jt_biject(f, t - 1, "backward")
-    )
-
-
-def _split_for_encoding(graph: Multigraph) -> tuple[LeftRightGraph, list[int]]:
-    """Split two-sided vertices into a closing half then an opening half.
-
-    One-sided vertices pass through unsplit; isolated vertices are tagged
-    opening when a closing half follows them, otherwise closing (with at
-    least one edge in the graph one of the two always applies).  Returns
-    the left-right graph and the original vertex of each split position.
-    """
-    degrees = degree_sequence(graph).pairs
-    origin: list[int] = []
-    sides: list[str | None] = []
-    open_pos: dict[int, int] = {}
-    close_pos: dict[int, int] = {}
-    for vertex in range(1, graph.n + 1):
-        left, right = degrees[vertex - 1]
-        if left:
-            origin.append(vertex)
-            sides.append("closing")
-            close_pos[vertex] = len(origin)
-        if right:
-            origin.append(vertex)
-            sides.append("opening")
-            open_pos[vertex] = len(origin)
-        if not left and not right:
-            origin.append(vertex)
-            sides.append(None)
-
-    last_closing = max(
-        (pos for pos, side in enumerate(sides, start=1) if side == "closing"),
-        default=0,
-    )
-    first_opening = min(
-        (pos for pos, side in enumerate(sides, start=1) if side == "opening"),
-        default=len(origin) + 1,
-    )
-    isolated_openings = set()
-    for pos, side in enumerate(sides, start=1):
-        if side is not None:
-            continue
-        if pos < last_closing:
-            isolated_openings.add(pos)
-        elif pos <= first_opening:
-            raise AssertionError("untaggable isolated vertex in an edged graph")
-
-    pairs = [
-        (open_pos[u], close_pos[v], mult) for u, v, mult in graph.edges
-    ]
-    lrg = LeftRightGraph(
-        Multigraph.from_pairs(len(origin), pairs), frozenset(isolated_openings)
-    )
-    return lrg, origin
+    return lift_block(unwound, lambda f: it_jt_biject(f, t - 1, "backward"))
 
 
 def graph_biject(graph: Multigraph, k: int, direction: Direction) -> Multigraph:
@@ -340,7 +270,7 @@ def graph_biject(graph: Multigraph, k: int, direction: Direction) -> Multigraph:
         raise PreconditionError(f"input has {k} pairwise crossing edges")
     if graph.edge_count == 0:
         return graph
-    lrg, origin = _split_for_encoding(graph)
+    lrg, origin = split_two_sided(graph)
     encoded = lr_encode(lrg)
     rewritten = it_jt_biject(encoded, k, direction)
     decoded = lr_decode(rewritten)

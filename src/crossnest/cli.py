@@ -88,28 +88,9 @@ def _cmd_encode(args) -> int:
     if args.mode == "delta":
         filling = codec.delta_encode(graph)
     else:
-        filling = codec.lr_encode(codec.LeftRightGraph(graph, _default_tags(graph)))
+        filling = codec.lr_encode(codec.tag_isolated(graph))
     print(shapes.format_filling(filling))
     return 0
-
-
-def _default_tags(graph: graphs.Multigraph) -> frozenset[int]:
-    """Tag isolated vertices opening when something later can close.
-
-    An isolated vertex opens when a closing vertex follows it, either a
-    vertex with left edges or the last isolated vertex (which stays
-    closing when nothing after it closes).  This makes every encodable
-    graph encode; a single isolated vertex remains genuinely untaggable.
-    """
-    degrees = graphs.degree_sequence(graph).pairs
-    isolated = [
-        v for v, (l, r) in enumerate(degrees, start=1) if l == 0 and r == 0
-    ]
-    last_closing = max(
-        (v for v, (l, r) in enumerate(degrees, start=1) if l > 0), default=0
-    )
-    boundary = max([last_closing] + isolated, default=0)
-    return frozenset(v for v in isolated if v < boundary)
 
 
 def _cmd_decode(args) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import DegreeSequence, Multigraph, degree_sequence
+from .graphs import Multigraph, degree_sequence
 from .patterns import antidiagonal_cells, first_j_occurrence
 from .shapes import Filling, validate_shape
 
@@ -76,6 +76,47 @@ class LeftRightGraph:
 
     def closings(self) -> list[int]:
         return [v for v, side in enumerate(self._sides(), start=1) if side == "closing"]
+
+
+def tag_isolated(graph: Multigraph) -> LeftRightGraph:
+    """The left-right graph of a graph with no two-sided vertex, its
+    isolated vertices tagged by the package's one tag rule.
+
+    An isolated vertex opens when it comes before the later of the last
+    closing vertex (one with left edges) and the last isolated vertex;
+    otherwise it closes.  So every isolated vertex but the last opens, and
+    the last opens too when a closing vertex follows it.  Every graph then
+    encodes under :func:`lr_encode` except a lone isolated vertex, which
+    stays untaggable.
+    """
+    degrees = list(enumerate(degree_sequence(graph).pairs, start=1))
+    isolated = [v for v, (left, right) in degrees if not left and not right]
+    last_closing = max((v for v, (left, _) in degrees if left), default=0)
+    boundary = max([last_closing, *isolated])
+    return LeftRightGraph(graph, frozenset(v for v in isolated if v < boundary))
+
+
+def split_two_sided(graph: Multigraph) -> tuple[LeftRightGraph, list[int]]:
+    """Split every two-sided vertex into a closing half followed by an
+    opening half, and tag the isolated vertices by :func:`tag_isolated`.
+
+    Returns the left-right graph and the original vertex of each of its
+    vertices.
+    """
+    origin: list[int] = []
+    open_pos: dict[int, int] = {}
+    close_pos: dict[int, int] = {}
+    for vertex, (left, right) in enumerate(degree_sequence(graph).pairs, start=1):
+        if left:
+            origin.append(vertex)
+            close_pos[vertex] = len(origin)
+        if right:
+            origin.append(vertex)
+            open_pos[vertex] = len(origin)
+        if not left and not right:
+            origin.append(vertex)
+    pairs = [(open_pos[u], close_pos[v], mult) for u, v, mult in graph.edges]
+    return tag_isolated(Multigraph.from_pairs(len(origin), pairs)), origin
 
 
 def delta_encode(graph: Multigraph) -> Filling:
@@ -187,11 +228,6 @@ def lr_decode(filling: Filling) -> LeftRightGraph:
         opening_vertex[s] for s in range(1, o + 1) if col_sums[s - 1] == 0
     )
     return LeftRightGraph(graph, tags)
-
-
-def lr_degree_sequence(filling: Filling) -> DegreeSequence:
-    """Left-right degree sequence read off a filling without decoding."""
-    return degree_sequence(lr_decode(filling).graph)
 
 
 @dataclass(frozen=True)

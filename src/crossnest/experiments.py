@@ -250,13 +250,17 @@ def _verify_shape_worker(args) -> tuple[int, list[str]]:
     return instances, mismatches
 
 
-def get_context(method: str):
-    """``multiprocessing.get_context``, imported on first use: only a
-    parallel sweep needs it, and importing the package adds to the memory
-    of every process that does."""
+def process_pool(processes: int):
+    """A ``ProcessPoolExecutor`` of spawned workers.  It raises
+    ``BrokenProcessPool`` when a worker dies, where ``multiprocessing.Pool``
+    would start a new one and wait forever.  Its modules are imported on
+    first use: only a parallel sweep needs them, and importing them adds to
+    the memory of every process that does."""
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    return multiprocessing.get_context(method)
+    spawn = multiprocessing.get_context("spawn")
+    return ProcessPoolExecutor(processes, mp_context=spawn)
 
 
 def verify_equirestrictive(
@@ -280,7 +284,8 @@ def verify_equirestrictive(
     are listed in the order of ``iter_profiles``.
 
     Shapes are split over ``min(jobs, os.cpu_count(), shapes)`` worker
-    processes.  Negative bounds and ``jobs < 1`` raise ``ValueError``.
+    processes; a worker that dies raises ``BrokenProcessPool``.  Negative
+    bounds and ``jobs < 1`` raise ``ValueError``.
     """
     if max_cells < 0 or max_total < 0:
         raise ValueError(
@@ -294,8 +299,8 @@ def verify_equirestrictive(
     ]
     processes = min(jobs, os.cpu_count() or 1, len(tasks))
     if processes > 1:
-        with get_context("spawn").Pool(processes) as pool:
-            results = pool.map(_verify_shape_worker, tasks)
+        with process_pool(processes) as pool:
+            results = list(pool.map(_verify_shape_worker, tasks))
     else:
         results = [_verify_shape_worker(task) for task in tasks]
     instances = sum(r[0] for r in results)

@@ -48,15 +48,6 @@ class PatternMatrix:
     def num_cols(self) -> int:
         return len(self.rows[0])
 
-    def ones(self) -> list[Cell]:
-        """1-based positions of the 1-entries."""
-        return [
-            (i, j)
-            for i, row in enumerate(self.rows, start=1)
-            for j, value in enumerate(row, start=1)
-            if value
-        ]
-
 
 @dataclass(frozen=True)
 class Occurrence:
@@ -69,10 +60,6 @@ class Occurrence:
         for sel in (self.rows, self.cols):
             if any(b <= a for a, b in zip(sel, sel[1:])):
                 raise ValueError("selections must be strictly increasing")
-
-    def cells_of(self, pattern: PatternMatrix) -> list[Cell]:
-        """Diagram cells covered by the 1-entries of ``pattern``."""
-        return [(self.rows[i - 1], self.cols[j - 1]) for i, j in pattern.ones()]
 
 
 @lru_cache(maxsize=None)

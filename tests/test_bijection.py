@@ -30,6 +30,8 @@ from crossnest.graphs import (
 from crossnest.patterns import antiidentity, contains, f_matrix, identity
 from crossnest.shapes import enumerate_fillings, filling_from_rows, sums_of
 
+from oracles import brute_contains
+
 
 def mg(n, *pairs):
     return Multigraph.from_pairs(n, pairs)
@@ -141,8 +143,8 @@ class TestLiftBlock:
         def inner(sub):
             raise AssertionError("inner must not be called on an empty region")
 
-        # An order-2 identity block is never visible in a 4-cell filling.
-        result = lift_block(filling, identity(2), inner)
+        # No nonzero cell lies strictly below and right of any cell.
+        result = lift_block(filling, inner)
         assert result == filling
 
     def test_single_cell_block_region(self):
@@ -156,7 +158,7 @@ class TestLiftBlock:
             seen["rows"] = sub.rows
             return sub
 
-        lift_block(filling, identity(1), inner)
+        lift_block(filling, inner)
         assert seen["shape"] == (1,)
         assert seen["rows"] == ((1,),)
 
@@ -172,9 +174,44 @@ class TestLiftBlock:
             return sub
 
         for filling in sweep_fillings(6, 3):
-            lifted = lift_block(filling, identity(1), involution)
+            lifted = lift_block(filling, involution)
             assert sums_of(lifted) == sums_of(filling)
-            assert lift_block(lifted, identity(1), involution) == filling
+            assert lift_block(lifted, involution) == filling
+
+    def test_eligible_cells_match_the_per_cell_definition(self):
+        # Cell (i, j) is eligible when the region strictly below and right
+        # of it contains a single 1; the eligible cells of a row form a
+        # prefix, so the sub-diagram is the longest eligible prefix per row.
+        def region(filling, i, j):
+            parts = tuple(p - j for p in filling.shape.parts[i:] if p > j)
+            rows = tuple(row[j:] for row in filling.rows[i : i + len(parts)])
+            return parts, rows
+
+        checked = 0
+        for filling in sweep_fillings(8, 3):
+            expected = [
+                max(
+                    (
+                        j
+                        for j in range(1, length + 1)
+                        if brute_contains(*region(filling, i, j), ((1,),))
+                    ),
+                    default=0,
+                )
+                for i, length in enumerate(filling.shape.parts, start=1)
+            ]
+            while expected and expected[-1] == 0:
+                expected.pop()
+            seen = []
+
+            def inner(sub):
+                seen.append(sub.shape.parts)
+                return sub
+
+            assert lift_block(filling, inner) == filling
+            assert seen == ([tuple(expected)] if expected else [])
+            checked += 1
+        assert checked == 7006
 
 
 class TestItJt:
@@ -271,6 +308,15 @@ class TestGraphBiject:
         out = graph_biject(graph, 2, "forward")
         assert out.n == 6
         assert degree_sequence(out) == degree_sequence(graph)
+
+    def test_trailing_isolated_vertices(self):
+        # Fixed images: the tag rule opens every isolated vertex but the
+        # last, so a trailing pair is tagged opening then closing.
+        crossing = mg(6, (1, 3), (2, 4))
+        assert graph_biject(crossing, 2, "forward") == mg(6, (1, 4), (2, 3))
+        assert graph_biject(mg(6, (1, 4), (2, 3)), 2, "backward") == crossing
+        two_sided = mg(7, (1, 3), (2, 4), (3, 5))
+        assert graph_biject(two_sided, 2, "forward") == mg(7, (1, 5), (2, 3), (3, 4))
 
     def test_degree_preservation_sweep(self):
         for pairs in [

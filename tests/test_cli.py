@@ -106,6 +106,30 @@ class TestCodecCommands:
         assert code == 2
         assert "untaggable" in err
 
+    def test_encode_lr_and_graph_biject_share_the_tag_rule(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from crossnest import bijection, codec
+        from crossnest.graphs import Multigraph
+
+        rule = codec.tag_isolated
+        tagged = []
+
+        def spy(graph):
+            lrg = rule(graph)
+            tagged.append(lrg.isolated_openings)
+            return lrg
+
+        monkeypatch.setattr(codec, "tag_isolated", spy)
+        path = tmp_path / "graph.txt"
+        path.write_text("6\n1 3 1\n2 4 1\n")
+        code, out, _ = run_cli(capsys, "encode", "--mode", "lr", "-i", str(path))
+        assert code == 0
+        assert out == "0 0 0\n0 1\n1 0\n"
+        graph = Multigraph.from_pairs(6, [(1, 3, 1), (2, 4, 1)])
+        bijection.graph_biject(graph, 2, "forward")
+        assert tagged == [frozenset({5}), frozenset({5})]
+
 
 class TestBiject:
     def test_filling_level(self, capsys, tmp_path):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from crossnest import _kernel, experiments
@@ -267,14 +270,7 @@ class TestSweepWorkerPool:
             def map(self, fn, tasks):
                 return [fn(task) for task in tasks]
 
-        class FakeContext:
-            Pool = FakePool
-
-        def get_context(method):
-            assert method == "spawn"
-            return FakeContext
-
-        monkeypatch.setattr(experiments, "get_context", get_context)
+        monkeypatch.setattr(experiments, "process_pool", FakePool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         return started
 
@@ -296,6 +292,32 @@ class TestSweepWorkerPool:
         report = verify_equirestrictive(identity(2), antiidentity(2), 3, 2, jobs=10**6)
         assert started == []
         assert report.verdict == "pass"
+
+
+class TestSweepWorkerDies:
+    def test_dead_worker_raises_instead_of_hanging(self, monkeypatch, tmp_path):
+        # Two real workers find a ``crossnest`` that exits on import, as a
+        # worker that cannot import the package would die.  The sweep must
+        # raise; a thread bounds the wait so a hang fails the test.
+        fake = tmp_path / "crossnest"
+        fake.mkdir()
+        (fake / "__init__.py").write_text("import os\nos._exit(1)\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        outcome = []
+
+        def sweep():
+            try:
+                verify_equirestrictive(identity(2), antiidentity(2), 3, 2, jobs=2)
+            except BaseException as exc:
+                outcome.append(exc)
+
+        worker = threading.Thread(target=sweep, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "the sweep hung on a dead worker"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], BrokenProcessPool)
 
 
 class TestReports:
