@@ -5,7 +5,13 @@ module's names, so a tracer that patches these names and ``_purekern``'s
 own sees every call, including the kernels' calls to each other.
 """
 
-from ._purekern import conjugate, contains, count_avoiders, iter_fillings
+from ._purekern import (
+    conjugate,
+    contains,
+    count_avoiders,
+    count_by_row_sums,
+    iter_fillings,
+)
 
 
 def active_backend() -> str:

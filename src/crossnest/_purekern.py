@@ -10,13 +10,19 @@ They work on plain tuples rather than on ``Shape`` and ``Filling``:
 Rows and columns are 0-based here; the public API converts to 1-based.
 
 ``count_avoiders`` counts by a row-by-row transfer and lists no filling;
-its docstring says how and why the count is exact.
+its docstring says how and why the count is exact.  ``count_by_row_sums``
+runs the same transfer with free column sums, keyed by row sums; both
+advance the occurrence state through ``_occurrence_step``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
-from typing import Iterator, Sequence
+from math import comb
+from typing import Callable, Iterator, Optional, Sequence
+
+Levels = tuple[int, ...]
 
 
 def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
@@ -165,41 +171,29 @@ def _pattern_table(
     return need, corner
 
 
-def count_avoiders(
-    parts: Sequence[int],
-    row_sums: Sequence[int],
-    col_sums: Sequence[int],
-    pat: Sequence[Sequence[int]],
-) -> int:
-    """Number of fillings with the prescribed sums that avoid the pattern.
+def _occurrence_step(
+    parts: Sequence[int], pat: Sequence[Sequence[int]]
+) -> tuple[Callable[[int, Levels, int], Optional[Levels]], Levels]:
+    """The occurrence-level update of a row-by-row transfer over a nonempty
+    diagram, shared by both transfers below.
 
-    No filling is listed.  Rows are filled top to bottom, and a row's
-    entries are bounded by what each column still needs; a column whose
-    last row this is takes all of it.  What the rows above pass down is
-    the remaining column sums and one bitmask per pattern row r < s over
-    the t-subsets C of columns: bit C of level r is set when pattern rows
-    1..r already sit, in order, in distinct rows above, with every 1-entry
-    on a nonzero cell of C.  A row whose support completes pattern row s
-    from level s-1 under a C that fits the row's length (the corner
-    condition) closes an occurrence, so that branch is dropped.  This is
-    exact because an occurrence asks only which cells are nonzero, in
-    which rows and columns, and whether that corner is inside the diagram.
-    The count below a row depends only on the row, the remaining sums and
-    the levels, so it is memoised on them for the length of the call.
-    Every column is emptied in its last row and the last row has no free
-    column, so a prescription with no filling counts 0 by itself.
+    Returns ``(step, start)``.  The state between rows is one bitmask per
+    pattern row r < s over the t-subsets C of the diagram's columns: bit C
+    of level r is set when pattern rows 1..r already sit, in order, in
+    distinct rows above, with every 1-entry on a nonzero cell of C.
+    ``start`` is that state above the top row.  ``step(i, levels,
+    support)`` is the state below row i when its nonzero cells are the
+    column bitmask ``support``, or None when the row completes pattern row
+    s from level s-1 under a C that fits the row's length (the corner
+    condition), which closes an occurrence.  Levels are masked to the
+    subsets that still fit the next row.  This is exact because an
+    occurrence asks only which cells are nonzero, in which rows and
+    columns, and whether that corner is inside the diagram.
     """
-    nrows = len(parts)
-    if nrows == 0:
-        return 1
     need, corner = _pattern_table(pat, parts[0])
     last = len(need) - 1
     full = corner[-1]
-    # Columns at or past bounds[i] have their last cell in row i.
-    bounds = tuple(parts[1:]) + (0,)
-    memo: dict = {}
-    fills: dict = {}
-    steps: dict = {}
+    fits = tuple(corner[length] for length in parts[1:]) + (0,)
     matches: dict = {}
 
     def match(r: int, support: int) -> int:
@@ -214,21 +208,52 @@ def count_avoiders(
             matches[key] = mask
         return mask
 
+    def step(i: int, levels: Levels, support: int) -> Optional[Levels]:
+        below = levels[-1] if last else full
+        if below & match(last, support) & corner[parts[i]]:
+            return None
+        fit = fits[i]
+        return tuple(
+            (level | ((levels[r - 1] if r else full) & match(r, support))) & fit
+            for r, level in enumerate(levels)
+        )
+
+    return step, (0,) * last
+
+
+def count_avoiders(
+    parts: Sequence[int],
+    row_sums: Sequence[int],
+    col_sums: Sequence[int],
+    pat: Sequence[Sequence[int]],
+) -> int:
+    """Number of fillings with the prescribed sums that avoid the pattern.
+
+    No filling is listed.  Rows are filled top to bottom, and a row's
+    entries are bounded by what each column still needs; a column whose
+    last row this is takes all of it.  What the rows above pass down is
+    the remaining column sums and the occurrence levels of
+    ``_occurrence_step``; a row that closes an occurrence drops the branch.
+    The count below a row depends only on the row, the remaining sums and
+    the levels, so it is memoised on them for the length of the call.
+    Every column is emptied in its last row and the last row has no free
+    column, so a prescription with no filling counts 0 by itself.
+    """
+    nrows = len(parts)
+    if nrows == 0:
+        return 1
+    advance, start = _occurrence_step(parts, pat)
+    # Columns at or past bounds[i] have their last cell in row i.
+    bounds = tuple(parts[1:]) + (0,)
+    memo: dict = {}
+    fills: dict = {}
+    steps: dict = {}
+
     def step(i: int, levels: tuple[int, ...], support: int):
-        """Levels after row i, or None if row i closes an occurrence."""
         key = (i, levels, support)
         if key in steps:
             return steps[key]
-        below = levels[-1] if last else full
-        if below & match(last, support) & corner[parts[i]]:
-            after = None
-        else:
-            fit = corner[bounds[i]]
-            after = tuple(
-                (level | ((levels[r - 1] if r else full) & match(r, support))) & fit
-                for r, level in enumerate(levels)
-            )
-        steps[key] = after
+        after = steps[key] = advance(i, levels, support)
         return after
 
     def row_fills(caps: tuple[int, ...], amount: int) -> list:
@@ -280,4 +305,67 @@ def count_avoiders(
         memo[key] = total
         return total
 
-    return count(0, tuple(col_sums), (0,) * last)
+    return count(0, tuple(col_sums), start)
+
+
+def count_by_row_sums(
+    parts: Sequence[int],
+    pat: Sequence[Sequence[int]],
+    max_total: int,
+    simple: bool = False,
+) -> Counter:
+    """Fillings that avoid the pattern, with free column sums and total at
+    most ``max_total``, counted by their row sums.
+
+    Returns a ``Counter`` from each row-sum vector to its number of
+    avoiders; a vector with none is absent.  With ``simple`` set, every
+    entry is 0 or 1.  Rows are filled top to bottom.  The state after a
+    row is the remaining total and the occurrence levels of
+    ``_occurrence_step``, and each state keeps a ``Counter`` of the row
+    sums above it; one row's states live until the next row's are built.
+    Since the levels ask only which cells are nonzero, a row is chosen by
+    its support: a support of s cells holding amount a stands for
+    C(a-1, s-1) rows, the ways to split a into s positive entries, or
+    under ``simple`` for one row if a == s and none otherwise.
+    """
+    nrows = len(parts)
+    if nrows == 0:
+        return Counter({(): 1})
+    advance, start = _occurrence_step(parts, pat)
+    # A remaining total above what the rows below can hold counts the same
+    # as that room, so it is clipped to it and such states merge.
+    room = [sum(parts[i:]) if simple else max_total for i in range(1, nrows)] + [0]
+    layer = {(max_total, start): Counter({(): 1})}
+    for i, length in enumerate(parts):
+        moves: dict = {}
+        below: dict = {}
+        for (rem, levels), prefixes in layer.items():
+            found = moves.get(levels)
+            if found is None:
+                # How many supports of each size lead to each next levels.
+                tally: Counter = Counter()
+                for support in range(1 << length):
+                    after = advance(i, levels, support)
+                    if after is not None:
+                        tally[support.bit_count(), after] += 1
+                found = moves[levels] = list(tally.items())
+            weights: Counter = Counter()
+            for (size, after), supports in found:
+                if simple or not size:
+                    if size <= rem:
+                        weights[size, after] += supports
+                else:
+                    for amount in range(size, rem + 1):
+                        weights[amount, after] += supports * comb(amount - 1, size - 1)
+            for (amount, after), weight in weights.items():
+                key = (min(rem - amount, room[i]), after)
+                target = below.get(key)
+                if target is None:
+                    target = below[key] = Counter()
+                for prefix, number in prefixes.items():
+                    target[prefix + (amount,)] += weight * number
+        layer = below
+    counts: Counter = Counter()
+    for prefixes in layer.values():
+        counts.update(prefixes)
+    return counts

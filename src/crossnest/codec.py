@@ -14,7 +14,7 @@ corner condition is exactly the interleaving condition of a crossing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Multigraph, degree_sequence
@@ -40,42 +40,40 @@ class LeftRightGraph:
 
     graph: Multigraph
     isolated_openings: frozenset[int] = frozenset()
+    # 'opening' or 'closing' for every vertex, set once from the degrees.
+    sides: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        degrees = degree_sequence(self.graph)
-        for vertex, (left, right) in enumerate(degrees.pairs, start=1):
+        degrees = degree_sequence(self.graph).pairs
+        for vertex, (left, right) in enumerate(degrees, start=1):
             if left and right:
                 raise ValueError(
                     f"vertex {vertex} both opens and closes edges; split it first"
                 )
         isolated = {
             vertex
-            for vertex, (left, right) in enumerate(degrees.pairs, start=1)
+            for vertex, (left, right) in enumerate(degrees, start=1)
             if left == 0 and right == 0
         }
         if not self.isolated_openings <= isolated:
             raise ValueError("isolated_openings may only tag isolated vertices")
-
-    def _sides(self) -> list[str]:
-        """'opening' or 'closing' for every vertex, from one degree sequence."""
-        return [
+        sides = tuple(
             "opening"
             if right or (not left and vertex in self.isolated_openings)
             else "closing"
-            for vertex, (left, right) in enumerate(
-                degree_sequence(self.graph).pairs, start=1
-            )
-        ]
+            for vertex, (left, right) in enumerate(degrees, start=1)
+        )
+        object.__setattr__(self, "sides", sides)
 
     def side(self, vertex: int) -> str:
         """'opening' or 'closing' for a 1-based vertex."""
-        return self._sides()[vertex - 1]
+        return self.sides[vertex - 1]
 
     def openings(self) -> list[int]:
-        return [v for v, side in enumerate(self._sides(), start=1) if side == "opening"]
+        return [v for v, side in enumerate(self.sides, start=1) if side == "opening"]
 
     def closings(self) -> list[int]:
-        return [v for v, side in enumerate(self._sides(), start=1) if side == "closing"]
+        return [v for v, side in enumerate(self.sides, start=1) if side == "closing"]
 
 
 def tag_isolated(graph: Multigraph) -> LeftRightGraph:
@@ -119,13 +117,19 @@ def split_two_sided(graph: Multigraph) -> tuple[LeftRightGraph, list[int]]:
     return tag_isolated(Multigraph.from_pairs(len(origin), pairs)), origin
 
 
+def staircase(n: int) -> tuple[int, ...]:
+    """Row lengths of the staircase that stores graphs on [n]: n - 1 rows,
+    the top one holding the edges that end at vertex n."""
+    return tuple(range(n - 1, 0, -1))
+
+
 def delta_encode(graph: Multigraph) -> Filling:
     """Staircase filling of a multigraph on [n]: d parallel edges between
     i < j land in column i, row n - j + 1 of the staircase with n - 1 rows."""
     n = graph.n
     if n < 1:
         raise ValueError("staircase encoding needs at least one vertex")
-    parts = tuple(range(n - 1, 0, -1))
+    parts = staircase(n)
     grid = [[0] * length for length in parts]
     for u, v, mult in graph.edges:
         grid[n - v][u - 1] = mult
@@ -135,7 +139,7 @@ def delta_encode(graph: Multigraph) -> Filling:
 def delta_decode(filling: Filling, n: int) -> Multigraph:
     """Inverse of :func:`delta_encode`; the shape must be the staircase
     with n - 1 rows."""
-    expected = tuple(range(n - 1, 0, -1))
+    expected = staircase(n)
     if filling.shape.parts != expected:
         raise ValueError(
             f"expected staircase shape {expected}, got {filling.shape.parts}"

@@ -1,9 +1,12 @@
-"""Exhaustive counting experiments and the equirestrictive sweep.
+"""Exact counting experiments and the equirestrictive sweep.
 
-Everything here enumerates small objects outright and compares counts, so
-each experiment is a self-contained check of one counting identity.  The
-bijection-backed experiment additionally verifies the map itself: images
-must land in the target set, be distinct, invert, and cover everything.
+Each experiment is a self-contained check of one counting identity.  The
+graph counts of ``cor2_2``, ``cor2_6`` and ``cor3_3`` are avoider counts of
+staircase fillings under ``codec.delta_encode``, taken by the kernel's
+row-sum transfer without listing a graph.  The other experiments, and the
+sweep, enumerate small objects outright.  The bijection-backed experiment
+additionally verifies the map itself: images must land in the target set,
+be distinct, invert, and cover everything.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -32,7 +35,8 @@ from .graphs import (
     nest,
     nest_weak,
 )
-from .patterns import PatternMatrix, m132, m213
+from .codec import staircase
+from .patterns import PatternMatrix, antiidentity, identity, m132, m213
 from .shapes import Shape, SumProfile
 
 
@@ -319,24 +323,45 @@ def verify_equirestrictive(
 # ── canned experiments ─────────────────────────────────────────
 
 
+def _staircase_avoiders(
+    n: int, k: int, max_m: int, simple: bool
+) -> tuple[Counter, Counter]:
+    """Graphs on [n] with at most ``max_m`` edges and crossing order below
+    k, then those with nesting order below k, counted by their staircase
+    row sums (the left degrees of vertices n, n-1, ..., 2).
+
+    Under ``codec.delta_encode`` a k-crossing is a J_k occurrence and a
+    k-nesting an I_k occurrence, so both are avoider counts of staircase
+    fillings, with entries at most 1 for simple graphs.
+    """
+    parts = staircase(n)
+    return (
+        _kernel.count_by_row_sums(parts, antiidentity(k).rows, max_m, simple),
+        _kernel.count_by_row_sums(parts, identity(k).rows, max_m, simple),
+    )
+
+
 def _order_size_counts(
     max_n: int, max_m: int, simple: bool
 ) -> tuple[dict, dict[str, int], list[str]]:
     """Graphs of each order n <= max_n and size m <= max_m with crossing
-    order below k versus nesting order below k, for k = 2, 3."""
+    order below k versus nesting order below k, for k = 2, 3, counted
+    through the staircase codec."""
     ks = (2, 3)
     counts: dict[str, int] = {}
     failures: list[str] = []
     for n in range(max_n + 1):
+        # For each k, the noncrossing and nonnesting graphs by size.
+        by_size: dict[int, list[Counter]] = {k: [] for k in ks}
+        for k in ks:
+            for by_rows in _staircase_avoiders(n, k, max_m, simple):
+                sizes: Counter = Counter()
+                for row_sums, number in by_rows.items():
+                    sizes[sum(row_sums)] += number
+                by_size[k].append(sizes)
         for m in range(max_m + 1):
-            cross_hist: Counter = Counter()
-            nest_hist: Counter = Counter()
-            for graph in enumerate_graphs_by_size(n, m, simple=simple):
-                cross_hist[cross(graph)] += 1
-                nest_hist[nest(graph)] += 1
             for k in ks:
-                noncrossing = sum(v for stat, v in cross_hist.items() if stat < k)
-                nonnesting = sum(v for stat, v in nest_hist.items() if stat < k)
+                noncrossing, nonnesting = (sizes[m] for sizes in by_size[k])
                 counts[f"n={n} m={m} k={k} noncrossing"] = noncrossing
                 counts[f"n={n} m={m} k={k} nonnesting"] = nonnesting
                 if noncrossing != nonnesting:
@@ -386,35 +411,35 @@ def _exp_cor2_6(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
 
 def _exp_cor3_3(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
     """Simple graphs with every left degree fixed: crossing-order counts
-    match nesting-order counts vector by vector."""
+    match nesting-order counts vector by vector.
+
+    Every vector with 0 <= l_v < v is the left-degree vector of some
+    simple graph, so there are n! of them.  Each is read from one
+    staircase count per pattern, whose row sums are the left degrees of
+    vertices n, n-1, ..., 2.
+    """
     max_n = bounds.get("n", 6)
     ks = (2, 3)
     counts: dict[str, int] = {}
     failures: list[str] = []
     for n in range(max_n + 1):
-        buckets: dict[tuple[int, ...], tuple[Counter, Counter]] = {}
-        max_m = n * (n - 1) // 2
-        for m in range(max_m + 1):
-            for graph in enumerate_graphs_by_size(n, m, simple=True):
-                lefts = tuple(l for l, _ in degree_sequence(graph).pairs)
-                cross_hist, nest_hist = buckets.setdefault(
-                    lefts, (Counter(), Counter())
-                )
-                cross_hist[cross(graph)] += 1
-                nest_hist[nest(graph)] += 1
-        agreeing = 0
-        for lefts, (cross_hist, nest_hist) in sorted(buckets.items()):
+        tables = {
+            k: _staircase_avoiders(n, k, n * (n - 1) // 2, simple=True) for k in ks
+        }
+        vectors = agreeing = 0
+        for lefts in product(*(range(v) for v in range(1, n + 1))):
+            row_sums = lefts[:0:-1]
             vector_ok = True
             for k in ks:
-                noncrossing = sum(v for stat, v in cross_hist.items() if stat < k)
-                nonnesting = sum(v for stat, v in nest_hist.items() if stat < k)
+                noncrossing, nonnesting = (table[row_sums] for table in tables[k])
                 if noncrossing != nonnesting:
                     vector_ok = False
                     failures.append(
                         f"n={n} lefts={lefts} k={k}: {noncrossing} != {nonnesting}"
                     )
+            vectors += 1
             agreeing += vector_ok
-        counts[f"n={n} left-degree vectors"] = len(buckets)
+        counts[f"n={n} left-degree vectors"] = vectors
         counts[f"n={n} agreeing vectors"] = agreeing
     return {"n": max_n, "ks": list(ks)}, counts, failures
 

@@ -256,3 +256,40 @@ class TestJtFrame:
     def test_order_one_rejected(self):
         with pytest.raises(ValueError):
             jt_frame(filling_from_rows([[1]]), 1)
+
+
+class TestLeftRightGraphSidesKeptOnce:
+    def test_sides_read_one_degree_sequence(self, monkeypatch):
+        from crossnest import codec
+
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return degree_sequence(graph)
+
+        monkeypatch.setattr(codec, "degree_sequence", counted)
+        lrg = LeftRightGraph(mg(5, (1, 4), (2, 5), (1, 5)), frozenset({3}))
+        assert len(calls) == 1
+        assert lrg.openings() == [1, 2, 3]
+        assert lrg.closings() == [4, 5]
+        assert [lrg.side(v) for v in range(1, 6)] == ["opening"] * 3 + ["closing"] * 2
+        assert len(calls) == 1
+
+    def test_equality_and_hash_across_lr_decode_round_trips(self):
+        for filling in small_fillings(5, 2):
+            decoded = lr_decode(filling)
+            again = lr_decode(lr_encode(decoded))
+            rebuilt = LeftRightGraph(decoded.graph, decoded.isolated_openings)
+            assert again == decoded == rebuilt
+            assert hash(again) == hash(decoded) == hash(rebuilt)
+            assert len({decoded, again, rebuilt}) == 1
+            assert repr(rebuilt) == repr(decoded)
+            assert "sides" not in repr(decoded)
+
+    def test_tags_still_tell_graphs_apart(self):
+        tagged = LeftRightGraph(mg(3, (1, 3)), frozenset({2}))
+        untagged = LeftRightGraph(mg(3, (1, 3)))
+        assert tagged != untagged
+        assert tagged.sides == ("opening", "opening", "closing")
+        assert untagged.sides == ("opening", "closing", "closing")
