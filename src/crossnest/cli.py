@@ -129,9 +129,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    report = experiments.run_experiment(
-        args.id, _parse_bounds(args.bounds), jobs=args.jobs
-    )
+    report = experiments.run_experiment(args.id, _parse_bounds(args.bounds))
     _emit_report(report, args.format)
     return 0 if report.verdict == "pass" else CLAIM_VIOLATED
 
@@ -199,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a canned counting experiment")
     p.add_argument("id", choices=sorted(experiments.EXPERIMENTS))
     p.add_argument("--bounds", help="comma-separated key=value overrides")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("text", "machine"), default="text")
     p.set_defaults(func=_cmd_experiment)
 

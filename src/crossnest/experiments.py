@@ -1,10 +1,13 @@
 """Exact counting experiments and the equirestrictive sweep.
 
-Each experiment is a self-contained check of one counting identity.  The
-graph counts of ``cor2_2``, ``cor2_6`` and ``cor3_3`` are avoider counts of
-staircase fillings under ``codec.delta_encode``, taken by the kernel's
-row-sum transfer without listing a graph.  The other experiments, and the
-sweep, enumerate small objects outright.  The bijection-backed experiment
+Each experiment is a self-contained check of one counting identity,
+declared once in ``EXPERIMENTS``: the bound keys it reads, with a default
+and a least value for each, the constants it fixes, and a function from
+the filled-in bounds to its counts and failures.  The graph counts of
+``cor2_2``, ``cor2_6`` and ``cor3_3`` are avoider counts of staircase
+fillings under ``codec.delta_encode``, taken by the kernel's row-sum
+transfer without listing a graph.  The other experiments, and the sweep,
+enumerate small objects outright.  The bijection-backed experiment
 additionally verifies the map itself: images must land in the target set,
 be distinct, invert, and cover everything.
 """
@@ -15,7 +18,9 @@ import json
 import os
 import time
 from collections import Counter
+from copy import deepcopy
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator, Optional
@@ -341,26 +346,29 @@ def _staircase_avoiders(
     )
 
 
-def _order_size_counts(
-    max_n: int, max_m: int, simple: bool
-) -> tuple[dict, dict[str, int], list[str]]:
-    """Graphs of each order n <= max_n and size m <= max_m with crossing
-    order below k versus nesting order below k, for k = 2, 3, counted
-    through the staircase codec."""
-    ks = (2, 3)
+# The crossing and nesting orders that cor2_2, cor2_6 and cor3_3 check.
+KS = (2, 3)
+
+
+def _order_size_counts(bounds: dict, simple: bool) -> tuple[dict[str, int], list[str]]:
+    """Graphs of each order n and size m within the bounds with crossing
+    order below k versus nesting order below k, for each k in ``KS``,
+    counted through the staircase codec: multigraphs for ``cor2_2``,
+    simple graphs for ``cor2_6``."""
+    max_n, max_m = bounds["n"], bounds["m"]
     counts: dict[str, int] = {}
     failures: list[str] = []
     for n in range(max_n + 1):
         # For each k, the noncrossing and nonnesting graphs by size.
-        by_size: dict[int, list[Counter]] = {k: [] for k in ks}
-        for k in ks:
+        by_size: dict[int, list[Counter]] = {k: [] for k in KS}
+        for k in KS:
             for by_rows in _staircase_avoiders(n, k, max_m, simple):
                 sizes: Counter = Counter()
                 for row_sums, number in by_rows.items():
                     sizes[sum(row_sums)] += number
                 by_size[k].append(sizes)
         for m in range(max_m + 1):
-            for k in ks:
+            for k in KS:
                 noncrossing, nonnesting = (sizes[m] for sizes in by_size[k])
                 counts[f"n={n} m={m} k={k} noncrossing"] = noncrossing
                 counts[f"n={n} m={m} k={k} nonnesting"] = nonnesting
@@ -368,24 +376,16 @@ def _order_size_counts(
                     failures.append(
                         f"n={n} m={m} k={k}: {noncrossing} != {nonnesting}"
                     )
-    return {"n": max_n, "m": max_m, "ks": list(ks)}, counts, failures
+    return counts, failures
 
 
-def _exp_cor2_2(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
-    """Counts of multigraphs by order and size with crossing order below k
-    versus nesting order below k."""
-    return _order_size_counts(bounds.get("n", 6), bounds.get("m", 5), simple=False)
-
-
-def _exp_cor2_4(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_cor2_4(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Joint symmetry: #(crossing order r, weak nesting order s) equals
     #(weak crossing order s, nesting order r), by order and size."""
-    max_n = bounds.get("n", 5)
-    max_m = bounds.get("m", 4)
     counts: dict[str, int] = {}
     failures: list[str] = []
-    for n in range(max_n + 1):
-        for m in range(max_m + 1):
+    for n in range(bounds["n"] + 1):
+        for m in range(bounds["m"] + 1):
             strict_weak: Counter = Counter()
             weak_strict: Counter = Counter()
             for graph in enumerate_graphs_by_size(n, m):
@@ -401,15 +401,10 @@ def _exp_cor2_4(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
                 counts[f"n={n} m={m} cross*={s} nest={r}"] = rhs
                 if lhs != rhs:
                     failures.append(f"n={n} m={m} (r={r}, s={s}): {lhs} != {rhs}")
-    return {"n": max_n, "m": max_m}, counts, failures
+    return counts, failures
 
 
-def _exp_cor2_6(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
-    """Simple-graph version of the order-and-size count equality."""
-    return _order_size_counts(bounds.get("n", 7), bounds.get("m", 6), simple=True)
-
-
-def _exp_cor3_3(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_cor3_3(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Simple graphs with every left degree fixed: crossing-order counts
     match nesting-order counts vector by vector.
 
@@ -418,19 +413,17 @@ def _exp_cor3_3(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
     staircase count per pattern, whose row sums are the left degrees of
     vertices n, n-1, ..., 2.
     """
-    max_n = bounds.get("n", 6)
-    ks = (2, 3)
     counts: dict[str, int] = {}
     failures: list[str] = []
-    for n in range(max_n + 1):
+    for n in range(bounds["n"] + 1):
         tables = {
-            k: _staircase_avoiders(n, k, n * (n - 1) // 2, simple=True) for k in ks
+            k: _staircase_avoiders(n, k, n * (n - 1) // 2, simple=True) for k in KS
         }
         vectors = agreeing = 0
         for lefts in product(*(range(v) for v in range(1, n + 1))):
             row_sums = lefts[:0:-1]
             vector_ok = True
-            for k in ks:
+            for k in KS:
                 noncrossing, nonnesting = (table[row_sums] for table in tables[k])
                 if noncrossing != nonnesting:
                     vector_ok = False
@@ -441,7 +434,7 @@ def _exp_cor3_3(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
             agreeing += vector_ok
         counts[f"n={n} left-degree vectors"] = vectors
         counts[f"n={n} agreeing vectors"] = agreeing
-    return {"n": max_n, "ks": list(ks)}, counts, failures
+    return counts, failures
 
 
 def _iter_degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
@@ -451,7 +444,7 @@ def _iter_degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
                 yield DegreeSequence(tuple(zip(lefts, rights)))
 
 
-def _exp_thm3_5(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Per degree sequence: count equality AND a verified bijection.
 
     For every feasible left-right degree sequence within bounds, the
@@ -459,13 +452,11 @@ def _exp_thm3_5(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
     in the k-noncrossing set without collisions, checked to invert, and
     the image must exhaust the target set.
     """
-    max_n = bounds.get("n", 6)
-    max_total = bounds.get("total_degree", 8)
-    k = bounds.get("k", 2)
+    k = bounds["k"]
     counts = {"sequences": 0, "graphs": 0, "bijected": 0}
     failures: list[str] = []
-    for n in range(max_n + 1):
-        for degrees in _iter_degree_sequences(n, max_total // 2):
+    for n in range(bounds["n"] + 1):
+        for degrees in _iter_degree_sequences(n, bounds["total_degree"] // 2):
             if not is_feasible(degrees):
                 continue
             counts["sequences"] += 1
@@ -501,7 +492,7 @@ def _exp_thm3_5(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
                     failures.append(f"D={degrees.pairs}: backward failed to invert")
             if image != noncrossing:
                 failures.append(f"D={degrees.pairs}: image does not cover the target")
-    return {"n": max_n, "total_degree": max_total, "k": k}, counts, failures
+    return counts, failures
 
 
 def _kh_patterns(k: int) -> tuple[Multigraph, Multigraph]:
@@ -517,20 +508,17 @@ def _kh_patterns(k: int) -> tuple[Multigraph, Multigraph]:
     )
 
 
-def _exp_cor3_9(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_cor3_9(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Avoider counts per degree sequence agree for a crossing over an
     extra edge versus a nesting over an extra edge (k = 2)."""
     from .graphs import contains_subgraph
 
-    max_n = bounds.get("n", 7)
-    max_m = bounds.get("m", 4)
-    k = bounds.get("k", 2)
-    pattern_x, pattern_y = _kh_patterns(k)
+    pattern_x, pattern_y = _kh_patterns(bounds["k"])
     counts: dict[str, int] = {"sequences": 0, "graphs": 0}
     failures: list[str] = []
-    for n in range(max_n + 1):
+    for n in range(bounds["n"] + 1):
         per_degrees: dict[tuple, list[int]] = {}
-        for m in range(max_m + 1):
+        for m in range(bounds["m"] + 1):
             for graph in enumerate_graphs_by_size(n, m):
                 counts["graphs"] += 1
                 tally = per_degrees.setdefault(
@@ -542,14 +530,18 @@ def _exp_cor3_9(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
         for pairs, (avoid_x, avoid_y) in sorted(per_degrees.items()):
             if avoid_x != avoid_y:
                 failures.append(f"n={n} D={pairs}: {avoid_x} != {avoid_y}")
-    return {"n": max_n, "m": max_m, "k": k}, counts, failures
+    return counts, failures
 
 
-def _exp_counterexample_simple(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+# counterexample_simple's fixed degree sequence and order, as reported.
+COUNTEREXAMPLE = {"degrees": [[0, 2], [0, 2], [1, 1], [2, 0], [2, 0]], "k": 2}
+
+
+def _exp_counterexample_simple(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """The fixed degree sequence whose simple-graph counts split 1 vs 0
     while its multigraph counts agree."""
-    degrees = DegreeSequence(((0, 2), (0, 2), (1, 1), (2, 0), (2, 0)))
-    k = 2
+    degrees = DegreeSequence(tuple(map(tuple, COUNTEREXAMPLE["degrees"])))
+    k = COUNTEREXAMPLE["k"]
     failures: list[str] = []
     simple_nonnesting = simple_noncrossing = 0
     multi_nonnesting = multi_noncrossing = 0
@@ -576,7 +568,7 @@ def _exp_counterexample_simple(bounds: dict) -> tuple[dict, dict[str, int], list
         failures.append(
             f"multigraph counts differ: {multi_nonnesting} != {multi_noncrossing}"
         )
-    return {"degrees": [list(p) for p in degrees.pairs], "k": k}, counts, failures
+    return counts, failures
 
 
 def _count_triples(graph: Multigraph, nesting: bool) -> int:
@@ -596,14 +588,14 @@ def _count_triples(graph: Multigraph, nesting: bool) -> int:
     return total
 
 
-def _exp_noy_matchings(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_noy_matchings(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Among perfect matchings with six edges, strictly more have exactly
-    one 3-crossing than exactly one 3-nesting."""
-    vertices = bounds.get("vertices", 12)
+    one 3-crossing than exactly one 3-nesting.  Below 12 vertices the two
+    counts tie, so 12 is the least vertex count the claim holds at."""
     one_crossing = 0
     one_nesting = 0
     matchings = 0
-    for graph in enumerate_perfect_matchings(vertices):
+    for graph in enumerate_perfect_matchings(bounds["vertices"]):
         matchings += 1
         if _count_triples(graph, nesting=False) == 1:
             one_crossing += 1
@@ -617,7 +609,7 @@ def _exp_noy_matchings(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
     failures = []
     if not one_crossing > one_nesting:
         failures.append(f"expected {one_crossing} > {one_nesting}")
-    return {"vertices": vertices}, counts, failures
+    return counts, failures
 
 
 def catalan_numbers(limit: int) -> list[int]:
@@ -628,10 +620,10 @@ def catalan_numbers(limit: int) -> list[int]:
     return values
 
 
-def _exp_catalan(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_catalan(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Noncrossing perfect matchings on 2n points against the Catalan
-    recurrence."""
-    max_n = bounds.get("n", 6)
+    recurrence, for n from 1 up to the bound."""
+    max_n = bounds["n"]
     expected = catalan_numbers(max_n)
     counts: dict[str, int] = {}
     failures: list[str] = []
@@ -645,16 +637,15 @@ def _exp_catalan(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
         counts[f"catalan({n})"] = expected[n]
         if observed != expected[n]:
             failures.append(f"n={n}: {observed} != {expected[n]}")
-    return {"n": max_n}, counts, failures
+    return counts, failures
 
 
-def _exp_m213_m132_spot(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
+def _exp_m213_m132_spot(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Avoider counts of the two 3x3 permutation patterns agree on every
     shape with all row and column sums equal to one."""
-    max_cells = bounds.get("max_cells", 6)
     counts: dict[str, int] = {"shapes": 0}
     failures: list[str] = []
-    for shape in iter_shapes(max_cells):
+    for shape in iter_shapes(bounds["max_cells"]):
         if shape.num_rows != shape.num_cols:
             continue
         profile = SumProfile((1,) * shape.num_rows, (1,) * shape.num_cols)
@@ -665,64 +656,74 @@ def _exp_m213_m132_spot(bounds: dict) -> tuple[dict, dict[str, int], list[str]]:
         counts[f"shape={shape.parts} m132-avoiders"] = rhs
         if lhs != rhs:
             failures.append(f"shape={shape.parts}: {lhs} != {rhs}")
-    return {"max_cells": max_cells}, counts, failures
+    return counts, failures
 
 
-EXPERIMENTS: dict[str, Callable[[dict], tuple[dict, dict[str, int], list[str]]]] = {
-    "cor2_2": _exp_cor2_2,
-    "cor2_4": _exp_cor2_4,
-    "cor2_6": _exp_cor2_6,
-    "cor3_3": _exp_cor3_3,
-    "thm3_5": _exp_thm3_5,
-    "cor3_9": _exp_cor3_9,
-    "counterexample_simple": _exp_counterexample_simple,
-    "noy_matchings": _exp_noy_matchings,
-    "catalan": _exp_catalan,
-    "m213_m132_spot": _exp_m213_m132_spot,
-}
+@dataclass(frozen=True)
+class Experiment:
+    """A canned experiment.  ``bounds`` maps each bound key it reads to
+    ``(default, least value)``; ``run`` takes every key filled in and
+    returns ``(counts, failures)``; ``fixed`` holds the constants it does
+    not let a caller change, which a report lists with the bounds."""
+
+    bounds: dict[str, tuple[int, int]]
+    run: Callable[[dict], tuple[dict[str, int], list[str]]]
+    fixed: dict = field(default_factory=dict)
 
 
-# The bound keys each experiment reads, with the least value each accepts.
-BOUND_KEYS: dict[str, dict[str, int]] = {
-    "cor2_2": {"n": 0, "m": 0},
-    "cor2_4": {"n": 0, "m": 0},
-    "cor2_6": {"n": 0, "m": 0},
-    "cor3_3": {"n": 0},
-    "thm3_5": {"n": 0, "total_degree": 0, "k": 1},
-    "cor3_9": {"n": 0, "m": 0, "k": 1},
-    "counterexample_simple": {},
-    "noy_matchings": {"vertices": 0},
-    "catalan": {"n": 0},
-    "m213_m132_spot": {"max_cells": 0},
+EXPERIMENTS: dict[str, Experiment] = {
+    "cor2_2": Experiment(
+        {"n": (6, 0), "m": (5, 0)},
+        partial(_order_size_counts, simple=False),
+        {"ks": list(KS)},
+    ),
+    "cor2_4": Experiment({"n": (5, 0), "m": (4, 0)}, _exp_cor2_4),
+    "cor2_6": Experiment(
+        {"n": (7, 0), "m": (6, 0)},
+        partial(_order_size_counts, simple=True),
+        {"ks": list(KS)},
+    ),
+    "cor3_3": Experiment({"n": (6, 0)}, _exp_cor3_3, {"ks": list(KS)}),
+    "thm3_5": Experiment(
+        {"n": (6, 0), "total_degree": (8, 0), "k": (2, 1)}, _exp_thm3_5
+    ),
+    "cor3_9": Experiment({"n": (7, 0), "m": (4, 0), "k": (2, 1)}, _exp_cor3_9),
+    "counterexample_simple": Experiment({}, _exp_counterexample_simple, COUNTEREXAMPLE),
+    "noy_matchings": Experiment({"vertices": (12, 12)}, _exp_noy_matchings),
+    "catalan": Experiment({"n": (6, 1)}, _exp_catalan),
+    "m213_m132_spot": Experiment({"max_cells": (6, 0)}, _exp_m213_m132_spot),
 }
 
 
 def run_experiment(
-    experiment_id: str, bounds: Optional[dict] = None, jobs: int = 1
+    experiment_id: str, bounds: Optional[dict] = None
 ) -> ExperimentReport:
     """Run a canned experiment and report counts plus a derived verdict.
 
-    Raises ``ValueError`` for an unknown experiment, a bound key the
-    experiment does not read, a bound below its least value (negative, or
-    ``k < 1``), or ``jobs < 1``.
+    Keys missing from ``bounds`` take the defaults ``EXPERIMENTS`` declares.
+    The report's ``parameters`` are the filled-in bounds and the
+    experiment's fixed constants.  Raises ``ValueError`` for an unknown
+    experiment, a bound key the experiment does not read, or a bound below
+    its declared least value.
     """
     if experiment_id not in EXPERIMENTS:
         known = ", ".join(sorted(EXPERIMENTS))
         raise ValueError(f"unknown experiment {experiment_id!r}; known: {known}")
-    minimums = BOUND_KEYS[experiment_id]
-    for key, value in (bounds or {}).items():
-        if key not in minimums:
-            known = ", ".join(sorted(minimums)) or "none"
+    experiment = EXPERIMENTS[experiment_id]
+    given = bounds or {}
+    for key, value in given.items():
+        if key not in experiment.bounds:
+            known = ", ".join(sorted(experiment.bounds)) or "none"
             raise ValueError(
                 f"experiment {experiment_id} reads no bound {key!r}; known: {known}"
             )
-        if value < minimums[key]:
-            raise ValueError(
-                f"bound {key}={value} is below its least value {minimums[key]}"
-            )
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1: {jobs}")
+        least = experiment.bounds[key][1]
+        if value < least:
+            raise ValueError(f"bound {key}={value} is below its least value {least}")
+    filled = {
+        key: given.get(key, default) for key, (default, _) in experiment.bounds.items()
+    }
     started = time.perf_counter()
-    parameters, counts, failures = EXPERIMENTS[experiment_id](bounds or {})
-    parameters["jobs"] = jobs
+    counts, failures = experiment.run(filled)
+    parameters = {**filled, **deepcopy(experiment.fixed)}
     return _finish(experiment_id, parameters, counts, failures, started)

@@ -227,16 +227,22 @@ class TestExperimentRejectsIgnoredOrEmptyBounds:
         [
             ["--bounds", "N=3"],
             ["--bounds", "n=-3"],
-            ["--jobs", "-5"],
             ["--bounds", "n=2,n=3"],
         ],
-        ids=["unknown-key", "negative-bound", "jobs-below-one", "repeated-key"],
+        ids=["unknown-key", "negative-bound", "repeated-key"],
     )
     def test_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "experiment", "catalan", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_jobs_rejected_by_parser(self, capsys):
+        # The experiments run in one process, so there is no --jobs to take.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", "catalan", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestClosedOutput:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import re
 import threading
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
 from crossnest import _kernel, experiments
 from crossnest.experiments import (
+    EXPERIMENTS,
     ExperimentReport,
     catalan_numbers,
     compositions,
@@ -390,24 +393,73 @@ class TestPatternSpecIntegration:
 
 
 class TestRunExperimentRejectsBadArguments:
-    def test_every_experiment_declares_its_bounds(self):
-        assert set(experiments.BOUND_KEYS) == set(experiments.EXPERIMENTS)
-
     @pytest.mark.parametrize(
-        "experiment_id, bounds, jobs",
+        "experiment_id, bounds",
         [
-            ("catalan", {"N": 3}, 1),
-            ("counterexample_simple", {"n": 3}, 1),
-            ("catalan", {"n": -3}, 1),
-            ("thm3_5", {"k": 0}, 1),
-            ("catalan", {"n": 3}, 0),
-            ("catalan", {"n": 3}, -5),
+            ("catalan", {"N": 3}),
+            ("counterexample_simple", {"n": 3}),
+            ("catalan", {"n": -3}),
+            ("thm3_5", {"k": 0}),
         ],
     )
-    def test_value_error(self, experiment_id, bounds, jobs):
+    def test_value_error(self, experiment_id, bounds):
         with pytest.raises(ValueError):
-            run_experiment(experiment_id, bounds, jobs=jobs)
+            run_experiment(experiment_id, bounds)
 
     def test_declared_keys_at_their_least_values_run(self):
         report = run_experiment("cor2_2", {"n": 0, "m": 0})
         assert report.verdict == "pass"
+
+
+def least_bounds(experiment_id):
+    declared = EXPERIMENTS[experiment_id].bounds
+    return {key: least for key, (_, least) in declared.items()}
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_least_values_run_and_count_something(self, experiment_id):
+        report = run_experiment(experiment_id, least_bounds(experiment_id))
+        assert report.verdict == "pass", report.failures[:3]
+        assert set(report.counts) - {"violations"}
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_defaults_are_at_least_their_least_values(self, experiment_id):
+        for key, (default, least) in EXPERIMENTS[experiment_id].bounds.items():
+            assert default >= least, key
+
+    @pytest.mark.parametrize(
+        "experiment_id, key",
+        [(eid, key) for eid in sorted(EXPERIMENTS) for key in EXPERIMENTS[eid].bounds],
+    )
+    def test_bound_below_its_least_value_is_rejected(self, experiment_id, key):
+        bounds = least_bounds(experiment_id)
+        bounds[key] -= 1
+        with pytest.raises(ValueError, match="below its least value"):
+            run_experiment(experiment_id, bounds)
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_omitted_keys_report_their_defaults(self, experiment_id):
+        # Every key but the last at its least value, the last omitted.
+        experiment = EXPERIMENTS[experiment_id]
+        given = least_bounds(experiment_id)
+        omitted = list(given)[-1:]
+        for key in omitted:
+            del given[key]
+        report = run_experiment(experiment_id, given)
+        defaults = {key: experiment.bounds[key][0] for key in omitted}
+        assert report.parameters == {**given, **defaults, **experiment.fixed}
+
+    def test_fixed_constants_are_reported(self):
+        assert run_experiment("cor3_3", {"n": 2}).parameters == {"n": 2, "ks": [2, 3]}
+        assert run_experiment("counterexample_simple").parameters == {
+            "degrees": [[0, 2], [0, 2], [1, 1], [2, 0], [2, 0]],
+            "k": 2,
+        }
+
+    def test_readme_lists_every_experiment(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Experiments\n", 1)[1].split("\n## ", 1)[0]
+        listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert sorted(listed) == sorted(EXPERIMENTS)
+        assert len(listed) == len(set(listed))
