@@ -9,10 +9,13 @@ They work on plain tuples rather than on ``Shape`` and ``Filling``:
 
 Rows and columns are 0-based here; the public API converts to 1-based.
 
-``count_avoiders`` counts by a row-by-row transfer and lists no filling;
-its docstring says how and why the count is exact.  ``count_by_row_sums``
-runs the same transfer with free column sums, keyed by row sums; both
-advance the occurrence state through ``_occurrence_step``.
+Fillings are built by one row-fill rule, stated in ``_row_fills``:
+``iter_fillings`` lists them by it and ``count_avoiders`` counts them by
+it.  ``count_avoiders`` is a layered row-by-row transfer that lists no
+filling; its docstring says how and why the count is exact.
+``count_by_row_sums`` is a layered transfer too, with free column sums,
+keyed by row sums; both advance the occurrence state through
+``_occurrence_step``.  No cache outlives a call.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import comb
+from operator import sub
 from typing import Callable, Iterator, Optional, Sequence
 
 Levels = tuple[int, ...]
@@ -36,6 +40,41 @@ def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
     return tuple(heights)
 
 
+def _row_fills(
+    caps: tuple[int, ...], amount: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(caps - row, support)`` for every row of entries summing to
+    ``amount`` with each entry at most its cap, the rows in lexicographic
+    order; bit j of ``support`` is set when entry j of the row is nonzero.
+
+    This is the kernels' one row-fill rule.  Rows are filled top to bottom,
+    each entry at most what its column still needs, and a column takes all
+    of its remainder in its last row.  So a row's entries in columns that
+    end there are forced, and its other entries, the free ones, are the
+    rows yielded here, with ``caps`` the free columns' remainders and
+    ``amount`` the row sum less the forced entries.
+    """
+    width = len(caps)
+    after = list(caps)
+
+    def place(j: int, left: int, support: int):
+        if j == width - 1:
+            if left <= caps[j]:
+                after[j] = caps[j] - left
+                bit = 1 << j if left else 0
+                yield tuple(after), support | bit
+            return
+        for value in range(min(left, caps[j]) + 1):
+            after[j] = caps[j] - value
+            bit = 1 << j if value else 0
+            yield from place(j + 1, left - value, support | bit)
+
+    if width:
+        yield from place(0, amount, 0)
+    elif not amount:
+        yield (), 0
+
+
 def iter_fillings(
     parts: Sequence[int],
     row_sums: Sequence[int],
@@ -43,10 +82,12 @@ def iter_fillings(
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every filling of the diagram with the prescribed sums.
 
-    Cells are assigned in row-major order, trying smaller values first, so
-    the stream is lexicographic on the flattened cell values.  Infeasible
-    prescriptions yield nothing; the empty diagram with the empty profile
-    yields exactly one empty filling.
+    Rows are filled top to bottom by ``_row_fills``, each in lexicographic
+    order, so the stream is lexicographic on the flattened cell values.  An
+    explicit stack of row iterators keeps the depth of the Python stack
+    independent of the number of rows.  Infeasible prescriptions yield
+    nothing; the empty diagram with the empty profile yields exactly one
+    empty filling.
     """
     if sum(row_sums) != sum(col_sums):
         return
@@ -54,50 +95,31 @@ def iter_fillings(
     if nrows == 0:
         yield ()
         return
+    # Columns at or past bounds[i] have their last cell in row i.
+    bounds = tuple(parts[1:]) + (0,)
 
-    heights = conjugate(parts)
-    rem_row = list(row_sums)
-    rem_col = list(col_sums)
-    grid = [[0] * length for length in parts]
-    # Row-major list of cells with "last cell of its row/column" flags.
-    cells = []
-    for i, length in enumerate(parts):
-        for j in range(length):
-            cells.append((i, j, j == length - 1, i == heights[j] - 1))
-    ncells = len(cells)
+    def rows(i: int, rem: tuple[int, ...]):
+        """``(row, remainders of the columns below it)`` for every row i
+        under column remainders rem."""
+        caps, forced = rem[: bounds[i]], rem[bounds[i]:]
+        left = row_sums[i] - sum(forced)
+        if left >= 0:
+            for after, _ in _row_fills(caps, left):
+                yield tuple(map(sub, caps, after)) + forced, after
 
-    def rec(idx: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if idx == ncells:
-            yield tuple(tuple(row) for row in grid)
-            return
-        i, j, last_in_row, last_in_col = cells[idx]
-        if last_in_row and last_in_col:
-            value = rem_row[i]
-            if value != rem_col[j]:
-                return
-            lo = hi = value
-        elif last_in_row:
-            value = rem_row[i]
-            if value > rem_col[j]:
-                return
-            lo = hi = value
-        elif last_in_col:
-            value = rem_col[j]
-            if value > rem_row[i]:
-                return
-            lo = hi = value
+    grid: list = []
+    stack = [rows(0, tuple(col_sums))]
+    while stack:
+        i = len(stack) - 1
+        for row, after in stack[-1]:
+            del grid[i:]
+            grid.append(row)
+            if i + 1 < nrows:
+                stack.append(rows(i + 1, after))
+                break
+            yield tuple(grid)
         else:
-            lo, hi = 0, min(rem_row[i], rem_col[j])
-        for value in range(lo, hi + 1):
-            grid[i][j] = value
-            rem_row[i] -= value
-            rem_col[j] -= value
-            yield from rec(idx + 1)
-            rem_row[i] += value
-            rem_col[j] += value
-        grid[i][j] = 0
-
-    yield from rec(0)
+            stack.pop()
 
 
 def contains(
@@ -229,15 +251,17 @@ def count_avoiders(
 ) -> int:
     """Number of fillings with the prescribed sums that avoid the pattern.
 
-    No filling is listed.  Rows are filled top to bottom, and a row's
-    entries are bounded by what each column still needs; a column whose
-    last row this is takes all of it.  What the rows above pass down is
-    the remaining column sums and the occurrence levels of
-    ``_occurrence_step``; a row that closes an occurrence drops the branch.
-    The count below a row depends only on the row, the remaining sums and
-    the levels, so it is memoised on them for the length of the call.
-    Every column is emptied in its last row and the last row has no free
-    column, so a prescription with no filling counts 0 by itself.
+    No filling is listed.  Rows are filled top to bottom by the rule of
+    ``_row_fills``.  What the rows above pass down is the remaining column
+    sums and the occurrence levels of ``_occurrence_step``; a row that
+    closes an occurrence drops the branch.  The rows below depend on the
+    rows above only through that state, so a layer maps each state after a
+    row to the number of ways to reach it, the next layer is built from it,
+    and the answer is the sum of the last layer.  The free rows of each
+    remainder and amount are listed once per call, and the occurrence
+    update of each levels and support once per row.  Every column is
+    emptied in its last row and the last row has no free column, so a
+    prescription with no filling counts 0 by itself.
     """
     nrows = len(parts)
     if nrows == 0:
@@ -245,67 +269,36 @@ def count_avoiders(
     advance, start = _occurrence_step(parts, pat)
     # Columns at or past bounds[i] have their last cell in row i.
     bounds = tuple(parts[1:]) + (0,)
-    memo: dict = {}
     fills: dict = {}
-    steps: dict = {}
-
-    def step(i: int, levels: tuple[int, ...], support: int):
-        key = (i, levels, support)
-        if key in steps:
-            return steps[key]
-        after = steps[key] = advance(i, levels, support)
-        return after
-
-    def row_fills(caps: tuple[int, ...], amount: int) -> list:
-        """``(caps - row, support)`` for every row of free entries summing
-        to ``amount`` with each entry at most its cap."""
-        key = (caps, amount)
-        found = fills.get(key)
-        if found is None:
-            found = fills[key] = []
-            width = len(caps)
-            after = list(caps)
-
-            def place(j: int, left: int, support: int) -> None:
-                if j == width - 1:
-                    if left <= caps[j]:
-                        after[j] = caps[j] - left
-                        bit = 1 << j if left else 0
-                        found.append((tuple(after), support | bit))
-                    return
-                for value in range(min(left, caps[j]) + 1):
-                    after[j] = caps[j] - value
-                    bit = 1 << j if value else 0
-                    place(j + 1, left - value, support | bit)
-
-            if width:
-                place(0, amount, 0)
-            elif not amount:
-                found.append(((), 0))
-        return found
-
-    def count(i: int, rem: tuple[int, ...], levels: tuple[int, ...]) -> int:
-        key = (i, rem, levels)
-        total = memo.get(key)
-        if total is not None:
-            return total
+    layer = {(tuple(col_sums), start): 1}
+    for i, length in enumerate(parts):
         free = bounds[i]
-        forced = 0
-        left = row_sums[i]
-        for j in range(free, parts[i]):
-            if rem[j]:
-                forced |= 1 << j
-                left -= rem[j]
-        total = 0
-        if left >= 0:
-            for after_rem, support in row_fills(rem[:free], left):
-                after = step(i, levels, support | forced)
+        steps: dict = {}
+        below: dict = {}
+        for (rem, levels), number in layer.items():
+            forced = 0
+            left = row_sums[i]
+            for j in range(free, length):
+                if rem[j]:
+                    forced |= 1 << j
+                    left -= rem[j]
+            if left < 0:
+                continue
+            key = (rem[:free], left)
+            found = fills.get(key)
+            if found is None:
+                found = fills[key] = list(_row_fills(*key))
+            for after_rem, support in found:
+                move = (levels, support | forced)
+                if move in steps:
+                    after = steps[move]
+                else:
+                    after = steps[move] = advance(i, *move)
                 if after is not None:
-                    total += count(i + 1, after_rem, after) if free else 1
-        memo[key] = total
-        return total
-
-    return count(0, tuple(col_sums), start)
+                    state = (after_rem, after)
+                    below[state] = below.get(state, 0) + number
+        layer = below
+    return sum(layer.values())
 
 
 def count_by_row_sums(

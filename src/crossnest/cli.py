@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested check passes (or the command is purely
 computational), 1 when a counting claim is violated, 2 on usage or format
-errors (including inputs that break a command's precondition), and 141
+errors (including inputs that break a command's precondition, and inputs
+too deep for the interpreter's recursion limit), and 141
 (the shell's status for a process ended by SIGPIPE) when standard output
 is closed before everything is written, as in ``crossnest ... | head -1``.
 """
@@ -213,6 +214,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError as exc:
+        print(f"error: input too deep to process: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:
         # The reader stopped early; that is not a usage error.  Point stdout

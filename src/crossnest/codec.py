@@ -87,9 +87,9 @@ def tag_isolated(graph: Multigraph) -> LeftRightGraph:
     encodes under :func:`lr_encode` except a lone isolated vertex, which
     stays untaggable.
     """
-    degrees = list(enumerate(degree_sequence(graph).pairs, start=1))
-    isolated = [v for v, (left, right) in degrees if not left and not right]
-    last_closing = max((v for v, (left, _) in degrees if left), default=0)
+    ends = {vertex for u, v, _ in graph.edges for vertex in (u, v)}
+    isolated = [v for v in range(1, graph.n + 1) if v not in ends]
+    last_closing = max((v for _, v, _ in graph.edges), default=0)
     boundary = max([last_closing, *isolated])
     return LeftRightGraph(graph, frozenset(v for v in isolated if v < boundary))
 
@@ -104,7 +104,10 @@ def split_two_sided(graph: Multigraph) -> tuple[LeftRightGraph, list[int]]:
     origin: list[int] = []
     open_pos: dict[int, int] = {}
     close_pos: dict[int, int] = {}
-    for vertex, (left, right) in enumerate(degree_sequence(graph).pairs, start=1):
+    opens = {u for u, _, _ in graph.edges}
+    closes = {v for _, v, _ in graph.edges}
+    for vertex in range(1, graph.n + 1):
+        left, right = vertex in closes, vertex in opens
         if left:
             origin.append(vertex)
             close_pos[vertex] = len(origin)

@@ -450,8 +450,14 @@ def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
     For every feasible left-right degree sequence within bounds, the
     graphs with nesting order below k are mapped forward, checked to land
     in the k-noncrossing set without collisions, checked to invert, and
-    the image must exhaust the target set.
+    the image must exhaust the target set.  Raises ``ValueError`` for an
+    odd ``total_degree``: every edge adds 2 to it, so an odd bound would
+    count as the even one below it.
     """
+    if bounds["total_degree"] % 2:
+        raise ValueError(
+            f"total_degree={bounds['total_degree']} is odd; every edge adds 2 to it"
+        )
     k = bounds["k"]
     counts = {"sequences": 0, "graphs": 0, "bijected": 0}
     failures: list[str] = []

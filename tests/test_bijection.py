@@ -318,6 +318,22 @@ class TestGraphBiject:
         two_sided = mg(7, (1, 3), (2, 4), (3, 5))
         assert graph_biject(two_sided, 2, "forward") == mg(7, (1, 5), (2, 3), (3, 4))
 
+    def test_degree_sequence_read_four_times(self, monkeypatch):
+        # One forward call reads the degrees of the split graph and of the
+        # decoded one, and of the input and the output for the final check.
+        from crossnest import bijection, codec
+
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return degree_sequence(graph)
+
+        monkeypatch.setattr(codec, "degree_sequence", counted)
+        monkeypatch.setattr(bijection, "degree_sequence", counted)
+        graph_biject(mg(7, (1, 3), (2, 4), (3, 5)), 2, "forward")
+        assert len(calls) == 4
+
     def test_degree_preservation_sweep(self):
         for pairs in [
             ((0, 2), (1, 1), (1, 1), (2, 0)),

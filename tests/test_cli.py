@@ -45,6 +45,27 @@ class TestEnumerateAndCount:
         assert code == 2
         assert "error" in err
 
+    def test_enumerate_more_rows_than_the_recursion_limit(self, capsys):
+        zeros = ",".join(["0"] * 1500)
+        code, out, _ = run_cli(
+            capsys,
+            "enumerate-fillings",
+            "--shape", ",".join(["1"] * 1500), "--rows", zeros, "--cols", "0",
+        )
+        assert code == 0
+        assert out == "0\n" * 1500
+
+    def test_too_deep_input_is_usage_error(self, capsys):
+        # A row is still filled column by column, one call deeper each.
+        code, _, err = run_cli(
+            capsys,
+            "enumerate-fillings",
+            "--shape", "1500,1500", "--rows", "1,0",
+            "--cols", ",".join(["1"] + ["0"] * 1499),
+        )
+        assert code == 2
+        assert err.startswith("error: ")
+
 
 class TestStats:
     def test_stats_from_file(self, capsys, tmp_path):
@@ -233,6 +254,14 @@ class TestExperimentRejectsIgnoredOrEmptyBounds:
     )
     def test_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "experiment", "catalan", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_odd_total_degree(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "thm3_5", "--bounds", "n=4,total_degree=5"
+        )
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")

@@ -157,6 +157,14 @@ class TestCountAvoidersAgainstOracles:
             )
             assert count_avoiders(shape, profile, pat) == expected, spec
 
+    @pytest.mark.parametrize("spec", ["I2", "J2"])
+    def test_more_rows_than_the_recursion_limit(self, spec):
+        # 1,500 rows of length 2, each with one 1: the only avoider puts
+        # every 1 of one column above every 1 of the other.
+        pat = parse_pattern(spec)
+        count = _kernel.count_avoiders((2,) * 1500, (1,) * 1500, (750, 750), pat.rows)
+        assert count == 1
+
 
 class TestCountingEnginesAgree:
     @pytest.mark.parametrize("spec", ["I2", "J2", "I3", "J3"])
