@@ -6,11 +6,11 @@ own sees every call, including the kernels' calls to each other.
 """
 
 from ._purekern import (
-    conjugate,
     contains,
     count_avoiders,
     count_by_row_sums,
     iter_fillings,
+    longest_chain,
 )
 
 

@@ -1,10 +1,11 @@
-"""Pure-Python enumeration, containment and counting kernels.
+"""Pure-Python enumeration, containment, counting and chain kernels.
 
 These are the only kernels; other modules reach them through ``_kernel``.
 They work on plain tuples rather than on ``Shape`` and ``Filling``:
 
 * ``parts``     -- weakly decreasing positive row lengths (possibly empty)
 * ``grid``      -- tuple of row tuples, row i holding ``parts[i]`` entries
+* ``cells``     -- ``(row, column, entry)`` of each nonzero cell, any order
 * ``pat``       -- rectangular 0/1 pattern as a tuple of row tuples
 
 Rows and columns are 0-based here; the public API converts to 1-based.
@@ -16,6 +17,10 @@ filling; its docstring says how and why the count is exact.
 ``count_by_row_sums`` is a layered transfer too, with free column sums,
 keyed by row sums; both advance the occurrence state through
 ``_occurrence_step``.  No cache outlives a call.
+
+``longest_chain`` is the one chain scan: the strict and weak lengths of
+identity and antidiagonal chains, which give both largest pattern orders
+of a filling and the four crossing and nesting statistics of a graph.
 """
 
 from __future__ import annotations
@@ -24,20 +29,9 @@ from collections import Counter
 from itertools import combinations
 from math import comb
 from operator import sub
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 Levels = tuple[int, ...]
-
-
-def conjugate(parts: Sequence[int]) -> tuple[int, ...]:
-    """Column heights of a diagram, i.e. the conjugate partition."""
-    if not parts:
-        return ()
-    heights = [0] * parts[0]
-    for length in parts:
-        for j in range(length):
-            heights[j] += 1
-    return tuple(heights)
 
 
 def _row_fills(
@@ -166,6 +160,54 @@ def contains(
         if feasible and parts[rows[-1]] >= col:
             return True
     return False
+
+
+def longest_chain(
+    parts: Sequence[int],
+    cells: Iterable[tuple[int, int, int]],
+    anti: bool = False,
+    weak: bool = False,
+) -> int:
+    """Length of the longest chain of nonzero cells of a filling, given
+    as the ``(row, column, entry)`` of each nonzero cell in any order.
+
+    An identity chain goes down and right.  With ``anti`` the chain goes
+    up and right, and its last column must fit in the row of its first
+    cell: the corner condition.  A strict chain moves to a new row and a
+    new column at every step and counts each cell once; with ``weak`` it
+    may stay in a row or a column, and counts each cell's entry.  So the
+    strict lengths are the largest orders of the identity and antidiagonal
+    patterns that the filling contains.
+
+    An antidiagonal chain whose first row has length L lies in the
+    rectangle of the rows of length at least L and the first L columns,
+    and every up-right chain in that rectangle meets the corner condition.
+    So the condition is taken once per length of a row that holds a cell,
+    as the longest chain in that rectangle.
+    """
+    # Row by row in the chain's direction, each row left to right, so
+    # every cell that can precede a cell in a chain comes before it.
+    ordered = sorted(cells, key=(lambda cell: (-cell[0], cell[1])) if anti else None)
+
+    def longest(chain: list[tuple[int, int, int]]) -> int:
+        ends: list[int] = []
+        for i, j, entry in chain:
+            best = 0
+            for (i2, j2, _), end in zip(chain, ends):
+                if end > best and j2 <= j and (weak or (i2 != i and j2 != j)):
+                    best = end
+            ends.append(best + (entry if weak else 1))
+        return max(ends, default=0)
+
+    if not anti:
+        return longest(ordered)
+    return max(
+        (
+            longest([cell for cell in ordered if cell[1] < length <= parts[cell[0]]])
+            for length in {parts[i] for i, _, _ in ordered}
+        ),
+        default=0,
+    )
 
 
 def _pattern_table(

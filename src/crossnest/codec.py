@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .graphs import Multigraph, degree_sequence
+from .graphs import Multigraph, degree_sequence, staircase, staircase_cells
 from .patterns import antidiagonal_cells, first_j_occurrence
 from .shapes import Filling, validate_shape
 
@@ -120,22 +120,15 @@ def split_two_sided(graph: Multigraph) -> tuple[LeftRightGraph, list[int]]:
     return tag_isolated(Multigraph.from_pairs(len(origin), pairs)), origin
 
 
-def staircase(n: int) -> tuple[int, ...]:
-    """Row lengths of the staircase that stores graphs on [n]: n - 1 rows,
-    the top one holding the edges that end at vertex n."""
-    return tuple(range(n - 1, 0, -1))
-
-
 def delta_encode(graph: Multigraph) -> Filling:
-    """Staircase filling of a multigraph on [n]: d parallel edges between
-    i < j land in column i, row n - j + 1 of the staircase with n - 1 rows."""
-    n = graph.n
-    if n < 1:
+    """Staircase filling of a multigraph on [n]: the staircase with n - 1
+    rows, its cells laid out by :func:`graphs.staircase_cells`."""
+    if graph.n < 1:
         raise ValueError("staircase encoding needs at least one vertex")
-    parts = staircase(n)
+    parts = staircase(graph.n)
     grid = [[0] * length for length in parts]
-    for u, v, mult in graph.edges:
-        grid[n - v][u - 1] = mult
+    for i, j, mult in staircase_cells(graph):
+        grid[i][j] = mult
     return Filling(validate_shape(parts), tuple(tuple(row) for row in grid))
 
 

@@ -39,10 +39,10 @@ from .graphs import (
     is_feasible,
     nest,
     nest_weak,
+    staircase,
 )
-from .codec import staircase
 from .patterns import PatternMatrix, antiidentity, identity, m132, m213
-from .shapes import Shape, SumProfile
+from .shapes import Shape, SumProfile, check_profile
 
 
 @dataclass
@@ -166,10 +166,7 @@ def count_avoiders(shape: Shape, profile: SumProfile, pattern: PatternMatrix) ->
     The kernel counts by a row-by-row transfer and lists no filling; see
     ``_purekern.count_avoiders``.
     """
-    if len(profile.row_sums) != shape.num_rows:
-        raise ValueError("profile row count does not match the shape")
-    if len(profile.col_sums) != shape.num_cols:
-        raise ValueError("profile column count does not match the shape")
+    check_profile(shape, profile)
     return _kernel.count_avoiders(
         shape.parts, profile.row_sums, profile.col_sums, pattern.rows
     )
@@ -516,7 +513,7 @@ def _kh_patterns(k: int) -> tuple[Multigraph, Multigraph]:
 
 def _exp_cor3_9(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Avoider counts per degree sequence agree for a crossing over an
-    extra edge versus a nesting over an extra edge (k = 2)."""
+    extra edge versus a nesting over an extra edge."""
     from .graphs import contains_subgraph
 
     pattern_x, pattern_y = _kh_patterns(bounds["k"])

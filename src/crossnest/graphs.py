@@ -4,14 +4,23 @@ Vertices are 1..n drawn on a line; edges are arcs above it.  Two edges
 cross when their endpoints strictly interleave and nest when one strictly
 encloses the other.  The weak variants allow repeated endpoints, so a
 multi-edge can participate with several of its copies.
+
+The staircase layout is stated here once: a graph on [n] is a filling of
+the staircase with n - 1 rows, its d parallel edges between u < v the
+cell in row n - v + 1, column u, holding d.  There k nested edges are a
+strict identity chain and k crossing edges a strict antidiagonal chain,
+the corner condition being their interleaving; weak chains repeat
+endpoints and count every copy of a multi-edge.  So the four statistics
+are taken by the kernel's one chain scan, ``_purekern.longest_chain``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
+from . import _kernel
 from .patterns import PatternMatrix
 
 
@@ -164,71 +173,44 @@ def split_vertex(degrees: DegreeSequence, index: int) -> DegreeSequence:
     )
 
 
-def _max_chain(items: Sequence[tuple[int, int, int]], *, strict: bool,
-               nesting: bool) -> int:
-    """Maximum-weight chain of (i, j, weight) items.
+def staircase(n: int) -> tuple[int, ...]:
+    """Row lengths of the staircase that stores graphs on [n]: n - 1 rows,
+    the top one holding the edges that end at vertex n."""
+    return tuple(range(n - 1, 0, -1))
 
-    Crossing chains need i and j both increasing; nesting chains need i
-    increasing and j decreasing.  ``strict`` toggles strict inequalities
-    (weak chains may reuse endpoint values).
-    """
-    if nesting:
-        ordered = sorted(items, key=lambda e: (e[0], -e[1]))
-    else:
-        ordered = sorted(items)
-    best = 0
-    scores: list[int] = []
-    for idx, (i, j, weight) in enumerate(ordered):
-        cur = weight
-        for idx2 in range(idx):
-            i2, j2, _ = ordered[idx2]
-            if strict:
-                ok = i2 < i and (j2 > j if nesting else j2 < j)
-            else:
-                ok = i2 <= i and (j2 >= j if nesting else j2 <= j)
-                ok = ok and (i2, j2) != (i, j)
-            if ok and scores[idx2] + weight > cur:
-                cur = scores[idx2] + weight
-        scores.append(cur)
-        best = max(best, cur)
-    return best
+
+def staircase_cells(graph: Multigraph) -> list[tuple[int, int, int]]:
+    """The graph's nonzero cells in its staircase filling, 0-based as the
+    kernels take them: row n - v, column u - 1, entry d for the d parallel
+    edges between u < v."""
+    return [(graph.n - v, u - 1, mult) for u, v, mult in graph.edges]
+
+
+def _chain(graph: Multigraph, anti: bool, weak: bool) -> int:
+    """Longest chain of the graph's staircase filling."""
+    return _kernel.longest_chain(
+        staircase(graph.n), staircase_cells(graph), anti=anti, weak=weak
+    )
 
 
 def cross(graph: Multigraph) -> int:
-    """Largest k admitting k pairwise crossing edges.
-
-    Pairwise crossing forces all left endpoints before all right endpoints,
-    so the search splits over a threshold p with i < p <= j for every
-    participating edge; within one threshold it is a strict chain.
-    """
-    best = 0
-    edges = [(u, v, 1) for u, v, _ in graph.edges]
-    for p in range(2, graph.n + 1):
-        in_band = [e for e in edges if e[0] < p <= e[1]]
-        best = max(best, _max_chain(in_band, strict=True, nesting=False))
-    return best
+    """Largest k admitting k pairwise crossing edges."""
+    return _chain(graph, anti=True, weak=False)
 
 
 def nest(graph: Multigraph) -> int:
     """Largest k admitting k pairwise nested edges."""
-    edges = [(u, v, 1) for u, v, _ in graph.edges]
-    return _max_chain(edges, strict=True, nesting=True)
+    return _chain(graph, anti=False, weak=False)
 
 
 def cross_weak(graph: Multigraph) -> int:
     """Largest k admitting a weak k-crossing; multi-edges supply copies."""
-    best = 0
-    edges = [(u, v, m) for u, v, m in graph.edges]
-    for p in range(2, graph.n + 1):
-        in_band = [e for e in edges if e[0] < p <= e[1]]
-        best = max(best, _max_chain(in_band, strict=False, nesting=False))
-    return best
+    return _chain(graph, anti=True, weak=True)
 
 
 def nest_weak(graph: Multigraph) -> int:
     """Largest k admitting a weak k-nesting; multi-edges supply copies."""
-    edges = [(u, v, m) for u, v, m in graph.edges]
-    return _max_chain(edges, strict=False, nesting=True)
+    return _chain(graph, anti=False, weak=True)
 
 
 def is_k_noncrossing(graph: Multigraph, k: int) -> bool:

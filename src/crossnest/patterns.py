@@ -151,63 +151,31 @@ def occurrences(filling: Filling, pattern: PatternMatrix) -> list[Occurrence]:
     return found
 
 
-def max_identity_order(filling: Filling) -> int:
-    """Largest k such that the order-k identity pattern is contained.
+def _entries(filling: Filling) -> list[tuple[int, int, int]]:
+    """``(row, column, entry)`` of every nonempty cell, 0-based, as the
+    kernels take cells."""
+    return [
+        (i, j, value)
+        for i, row in enumerate(filling.rows)
+        for j, value in enumerate(row)
+        if value
+    ]
 
-    This is the length of the longest chain of nonempty cells going
-    strictly down and to the right.  The last cell of such a chain is the
-    corner of its selection and is nonempty, so the corner condition holds
-    by itself.
-    """
-    cells = filling.nonempty_cells()
-    # chain[idx] is the longest such chain ending at cells[idx]; the
-    # row-major order puts every possible predecessor before it.
-    chain: list[int] = []
-    for row, col in cells:
-        chain.append(
-            1
-            + max(
-                (
-                    length
-                    for (r, c), length in zip(cells, chain)
-                    if r < row and c < col
-                ),
-                default=0,
-            )
-        )
-    return max(chain, default=0)
+
+def max_identity_order(filling: Filling) -> int:
+    """Largest k such that the order-k identity pattern is contained: the
+    longest chain of nonempty cells going strictly down and to the right.
+    The last cell of such a chain is the corner of its selection and is
+    nonempty, so the corner condition holds by itself."""
+    return _kernel.longest_chain(filling.shape.parts, _entries(filling))
 
 
 def max_antiidentity_order(filling: Filling) -> int:
-    """Largest k such that the order-k antidiagonal pattern is contained.
-
-    An occurrence is a chain of nonempty cells going strictly up and to the
-    right whose last column fits in the row of its first (bottom-left)
-    cell: that is the corner condition.  So for each distinct row length L
-    this takes the longest such chain in columns at most L that starts in
-    a row of length L, and returns the largest of these.
-    """
-    parts = filling.shape.parts
-    nonempty = filling.nonempty_cells()
-    best = 0
-    for limit in set(parts):
-        cells = [(r, c) for (r, c) in nonempty if c <= limit]
-        # chain[idx] is the longest up-right chain starting at cells[idx];
-        # the row-major order puts every cell above it first.
-        chain: list[int] = []
-        for row, col in cells:
-            length = 1 + max(
-                (
-                    above
-                    for (r, c), above in zip(cells, chain)
-                    if r < row and c > col
-                ),
-                default=0,
-            )
-            chain.append(length)
-            if parts[row - 1] == limit:
-                best = max(best, length)
-    return best
+    """Largest k such that the order-k antidiagonal pattern is contained:
+    the longest chain of nonempty cells going strictly up and to the right
+    whose last column fits in the row of its first (bottom-left) cell,
+    which is the corner condition."""
+    return _kernel.longest_chain(filling.shape.parts, _entries(filling), anti=True)
 
 
 def antidiagonal_cells(occ: Occurrence) -> list[Cell]:

@@ -46,7 +46,10 @@ class Shape:
 
     def col_heights(self) -> tuple[int, ...]:
         """Conjugate partition: the height of each column."""
-        return _kernel.conjugate(self.parts)
+        return tuple(
+            sum(1 for length in self.parts if length > j)
+            for j in range(self.num_cols)
+        )
 
     def contains_cell(self, row: int, col: int) -> bool:
         """Whether cell (row, col), 1-based, lies inside the diagram."""
@@ -137,12 +140,9 @@ def sums_of(filling: Filling) -> SumProfile:
     return SumProfile(row_sums, tuple(col_sums))
 
 
-def enumerate_fillings(shape: Shape, profile: SumProfile) -> Iterator[Filling]:
-    """All fillings of ``shape`` whose sums match ``profile``, each once.
-
-    The stream is deterministic: row-major lexicographic on cell values.
-    Yields nothing when the prescription is infeasible.
-    """
+def check_profile(shape: Shape, profile: SumProfile) -> None:
+    """Raise ValueError unless the profile has one row sum per row and one
+    column sum per column of the shape."""
     if len(profile.row_sums) != shape.num_rows:
         raise ValueError(
             f"profile has {len(profile.row_sums)} row sums, shape has "
@@ -153,6 +153,15 @@ def enumerate_fillings(shape: Shape, profile: SumProfile) -> Iterator[Filling]:
             f"profile has {len(profile.col_sums)} column sums, shape has "
             f"{shape.num_cols} columns"
         )
+
+
+def enumerate_fillings(shape: Shape, profile: SumProfile) -> Iterator[Filling]:
+    """All fillings of ``shape`` whose sums match ``profile``, each once.
+
+    The stream is deterministic: row-major lexicographic on cell values.
+    Yields nothing when the prescription is infeasible.
+    """
+    check_profile(shape, profile)
     for grid in _kernel.iter_fillings(shape.parts, profile.row_sums, profile.col_sums):
         yield Filling(shape, grid)
 

@@ -76,6 +76,15 @@ class TestStats:
         lines = dict(line.split() for line in out.strip().splitlines())
         assert lines == {"cross": "2", "nest": "1", "cross*": "2", "nest*": "1"}
 
+    def test_stats_weak_orders_exceed_strict(self, capsys, tmp_path):
+        # The double edge (1, 3) crosses (2, 4) twice and nests with itself.
+        path = tmp_path / "graph.txt"
+        path.write_text("4\n1 3 2\n2 4 1\n")
+        code, out, _ = run_cli(capsys, "stats", "--graph", str(path))
+        assert code == 0
+        lines = dict(line.split() for line in out.strip().splitlines())
+        assert lines == {"cross": "2", "nest": "1", "cross*": "3", "nest*": "2"}
+
     def test_stats_bad_format(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("4\n1 3\n")

@@ -68,8 +68,10 @@ class TestCountAvoiders:
         assert count_avoiders(shape, SumProfile((1, 0), (0, 1)), identity(1)) == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2 row sums, shape has 1 rows"):
             count_avoiders(Shape((2,)), SumProfile((1, 1), (2,)), identity(1))
+        with pytest.raises(ValueError, match="1 column sums, shape has 2 columns"):
+            count_avoiders(Shape((2,)), SumProfile((2,), (2,)), identity(1))
 
 
 ORACLE_PATTERNS = (

@@ -174,7 +174,7 @@ class TestStatistics:
             assert nest(graph) <= nest_weak(graph)
 
     def test_against_pairwise_oracle_sweep(self):
-        for n, m in [(4, 3), (5, 3), (6, 2)]:
+        for n, m in [(4, 3), (5, 3), (6, 2), (7, 3), (5, 4)]:
             for graph in enumerate_graphs_by_size(n, m):
                 assert cross(graph) == pairwise_cross(graph)
                 assert nest(graph) == pairwise_nest(graph)
