@@ -9,6 +9,7 @@ from ._purekern import (
     contains,
     count_avoiders,
     count_by_row_sums,
+    disagreeing_supports,
     iter_fillings,
     longest_chain,
 )

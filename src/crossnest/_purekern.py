@@ -16,7 +16,13 @@ it.  ``count_avoiders`` is a layered row-by-row transfer that lists no
 filling; its docstring says how and why the count is exact.
 ``count_by_row_sums`` is a layered transfer too, with free column sums,
 keyed by row sums; both advance the occurrence state through
-``_occurrence_step``.  No cache outlives a call.
+``_occurrence_step``.  ``_row_fills`` steps like an odometer and the
+transfers and listings stack their rows, so nothing here recurses.
+``disagreeing_supports`` walks a diagram's supports (sets of nonzero
+cells) with the same occurrence update, carrying two patterns at once,
+and yields those on which exactly one occurs: the only fillings on which
+an equirestrictive sweep can find the two patterns' counts apart.  No
+cache outlives a call.
 
 ``longest_chain`` is the one chain scan: the strict and weak lengths of
 identity and antidiagonal chains, which give both largest pattern orders
@@ -50,23 +56,31 @@ def _row_fills(
     """
     width = len(caps)
     after = list(caps)
-
-    def place(j: int, left: int, support: int):
-        if j == width - 1:
-            if left <= caps[j]:
-                after[j] = caps[j] - left
-                bit = 1 << j if left else 0
-                yield tuple(after), support | bit
+    support = 0
+    # An odometer: the first row puts as much as it can in the rightmost
+    # entries, and each next row adds one unit at the rightmost entry that
+    # has room while the entries after it hold at least one, then refills
+    # those entries from the right with one unit less.
+    j, left = -1, amount
+    while True:
+        for k in range(width - 1, j, -1):
+            value = min(caps[k], left)
+            after[k] = caps[k] - value
+            left -= value
+            if value:
+                support |= 1 << k
+        if left:
             return
-        for value in range(min(left, caps[j]) + 1):
-            after[j] = caps[j] - value
-            bit = 1 << j if value else 0
-            yield from place(j + 1, left - value, support | bit)
-
-    if width:
-        yield from place(0, amount, 0)
-    elif not amount:
-        yield (), 0
+        yield tuple(after), support
+        j = width - 1
+        while j >= 0 and not (after[j] and left):
+            left += caps[j] - after[j]
+            j -= 1
+        if j < 0:
+            return
+        after[j] -= 1
+        support = support & ((1 << j) - 1) | 1 << j
+        left -= 1
 
 
 def iter_fillings(
@@ -283,6 +297,77 @@ def _occurrence_step(
         )
 
     return step, (0,) * last
+
+
+def disagreeing_supports(
+    parts: Sequence[int],
+    pat1: Sequence[Sequence[int]],
+    pat2: Sequence[Sequence[int]],
+    max_size: int,
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(support, sign)`` for every support of the diagram with at
+    most ``max_size`` cells on which exactly one of the two patterns
+    occurs.  A support is a set of nonzero cells, given as one column
+    bitmask per row; ``sign`` is +1 when only ``pat2`` occurs and -1 when
+    only ``pat1`` does, so over the fillings with a support the signs sum
+    to the avoiders of ``pat1`` less those of ``pat2``.
+
+    Supports are walked row by row, carrying both patterns' levels of
+    ``_occurrence_step``, and a branch on which both patterns occur is
+    dropped.  Containment only grows with the support, so when neither
+    pattern occurs with every cell nonzero, no support tells them apart
+    and the diagram is skipped before the walk.  With every cell nonzero
+    an s x t pattern occurs exactly when the diagram holds an s x t
+    rectangle, that is when row s has at least t cells: the first s rows
+    and t columns then give an occurrence, and the last row and column of
+    any occurrence are at least the s-th and t-th.
+    """
+    nrows = len(parts)
+
+    def fits(pat: Sequence[Sequence[int]]) -> bool:
+        """Whether the pattern occurs with every cell nonzero."""
+        s, t = len(pat), len(pat[0])
+        return s <= nrows and parts[s - 1] >= t
+
+    if not (fits(pat1) or fits(pat2)):
+        return
+    step1, start1 = _occurrence_step(parts, pat1)
+    step2, start2 = _occurrence_step(parts, pat2)
+    moves: dict = {}
+
+    def rows(i: int, levels1, levels2, room: int):
+        """``(support, levels1, levels2, room)`` below row i for each support
+        of row i with at most ``room`` cells; levels are None once their
+        pattern occurs.  The moves from each state are found once."""
+        cap = min(room, parts[i])
+        key = (i, levels1, levels2, cap)
+        found = moves.get(key)
+        if found is None:
+            found = moves[key] = []
+            for size in range(cap + 1):
+                for cols in combinations(range(parts[i]), size):
+                    support = sum(1 << j for j in cols)
+                    after1 = None if levels1 is None else step1(i, levels1, support)
+                    after2 = None if levels2 is None else step2(i, levels2, support)
+                    if after1 is not None or after2 is not None:
+                        found.append((support, after1, after2, size))
+        for support, after1, after2, size in found:
+            yield support, after1, after2, room - size
+
+    grid: list = []
+    stack = [rows(0, start1, start2, max_size)]
+    while stack:
+        i = len(stack) - 1
+        for support, after1, after2, room in stack[-1]:
+            del grid[i:]
+            grid.append(support)
+            if i + 1 < nrows:
+                stack.append(rows(i + 1, after1, after2, room))
+                break
+            if after1 is None or after2 is None:
+                yield tuple(grid), 1 if after1 is not None else -1
+        else:
+            stack.pop()
 
 
 def count_avoiders(

@@ -117,13 +117,35 @@ def _cmd_biject(args) -> int:
     return 0
 
 
+def _never_occurs(spec: str, pattern: patterns.PatternMatrix, args) -> Optional[str]:
+    """Why no filling within the ``verify`` bounds contains the pattern, or
+    None when one does.  An s x t pattern with e 1-entries occurs in a
+    filling of total e on the s x t rectangle, and in no filling with fewer
+    than e nonzero cells or on a shape that holds no s x t rectangle."""
+    ones = sum(map(sum, pattern.rows))
+    if ones > args.max_total:
+        return f"{spec} has {ones} 1-entries, more than --max-total {args.max_total}"
+    s, t = pattern.num_rows, pattern.num_cols
+    if s * t > args.max_cells:
+        return (
+            f"{spec} needs a {s}x{t} rectangle of cells, "
+            f"more than --max-cells {args.max_cells}"
+        )
+    return None
+
+
 def _cmd_verify(args) -> int:
+    p1 = patterns.parse_pattern(args.p1)
+    p2 = patterns.parse_pattern(args.p2)
+    reasons = [_never_occurs(args.p1, p1, args), _never_occurs(args.p2, p2, args)]
+    # Negative bounds get their own error from the sweep.
+    if all(reasons) and min(args.max_cells, args.max_total) >= 0:
+        raise ValueError(
+            "no filling within the bounds contains either pattern, so the "
+            "sweep would compare nothing: " + "; ".join(reasons)
+        )
     report = experiments.verify_equirestrictive(
-        patterns.parse_pattern(args.p1),
-        patterns.parse_pattern(args.p2),
-        max_cells=args.max_cells,
-        max_total=args.max_total,
-        jobs=args.jobs,
+        p1, p2, max_cells=args.max_cells, max_total=args.max_total, jobs=args.jobs
     )
     _emit_report(report, args.format)
     return 0 if report.verdict == "pass" else CLAIM_VIOLATED

@@ -6,10 +6,12 @@ and a least value for each, the constants it fixes, and a function from
 the filled-in bounds to its counts and failures.  The graph counts of
 ``cor2_2``, ``cor2_6`` and ``cor3_3`` are avoider counts of staircase
 fillings under ``codec.delta_encode``, taken by the kernel's row-sum
-transfer without listing a graph.  The other experiments, and the sweep,
-enumerate small objects outright.  The bijection-backed experiment
-additionally verifies the map itself: images must land in the target set,
-be distinct, invert, and cover everything.
+transfer without listing a graph.  The equirestrictive sweep lists only
+the fillings on the supports where the two patterns disagree, found by
+the kernel's support walk, and buckets them by prescription with a sign.
+The other experiments enumerate small objects outright.  The
+bijection-backed experiment additionally verifies the map itself: images
+must land in the target set, be distinct, invert, and cover everything.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -179,80 +181,54 @@ def _count_compositions(total: int, slots: int) -> int:
     return comb(total + slots - 1, slots - 1)
 
 
-def _fillings_within(
-    parts: tuple[int, ...], max_total: int
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]]:
-    """Yield ``(support, filling, row_sums, col_sums)`` for every filling of
-    the diagram with total at most ``max_total``.
-
-    Cells are assigned in row-major order, each from 0 up to the budget the
-    cells before it left, so every filling appears exactly once.  Bit ``k``
-    of ``support`` is set when the k-th cell in row-major order is nonzero.
-    """
-    cells = [(i, j) for i, length in enumerate(parts) for j in range(length)]
-    ncells = len(cells)
-    grid = [[0] * length for length in parts]
-    row_sums = [0] * len(parts)
-    col_sums = [0] * (parts[0] if parts else 0)
-
-    def rec(idx: int, budget: int, support: int):
-        if idx == ncells:
-            yield support, tuple(map(tuple, grid)), tuple(row_sums), tuple(col_sums)
-            return
-        i, j = cells[idx]
-        row = grid[i]
-        yield from rec(idx + 1, budget, support)
-        support |= 1 << idx
-        for value in range(1, budget + 1):
-            row[j] = value
-            row_sums[i] += 1
-            col_sums[j] += 1
-            yield from rec(idx + 1, budget - value, support)
-        row[j] = 0
-        row_sums[i] -= budget
-        col_sums[j] -= budget
-
-    yield from rec(0, max_total, 0)
-
-
-def _avoiders_by_sums(
-    parts: tuple[int, ...], fillings: list, pattern_rows: tuple[tuple[int, ...], ...]
-) -> Counter:
-    """Avoiders of the pattern among ``fillings``, keyed by
-    ``(row_sums, col_sums)``; containment is tested once per support."""
-    contained: dict[int, bool] = {}
-    avoiders: Counter = Counter()
-    for support, filling, row_sums, col_sums in fillings:
-        hit = contained.get(support)
-        if hit is None:
-            hit = contained[support] = _kernel.contains(parts, filling, pattern_rows)
-        if not hit:
-            avoiders[row_sums, col_sums] += 1
-    return avoiders
-
-
 def _verify_shape_worker(args) -> tuple[int, list[str]]:
+    """``(instances, mismatch lines)`` of one shape of the sweep.
+
+    Only the supports on which exactly one pattern occurs are listed, by
+    ``_purekern.disagreeing_supports``; every other filling adds the same
+    to both avoider counts.  Each listed support's fillings with positive
+    entries and total at most ``max_total`` add its sign to the bucket of
+    their (row sums, column sums), so a bucket is the first pattern's
+    avoider count less the second's, and a profile mismatches exactly when
+    its bucket is nonzero.
+    """
     parts, p1_rows, p2_rows, max_total = args
     ncols = parts[0] if parts else 0
     instances = sum(
         _count_compositions(total, len(parts)) * _count_compositions(total, ncols)
         for total in range(max_total + 1)
     )
-    fillings = list(_fillings_within(parts, max_total))
-    avoiders1 = _avoiders_by_sums(parts, fillings, p1_rows)
-    avoiders2 = _avoiders_by_sums(parts, fillings, p2_rows)
+    buckets: Counter = Counter()
+    for support, sign in _kernel.disagreeing_supports(
+        parts, p1_rows, p2_rows, max_total
+    ):
+        cells = [
+            (i, j) for i, mask in enumerate(support) for j in range(ncols) if mask >> j & 1
+        ]
+        base_rows = [mask.bit_count() for mask in support]
+        base_cols = [0] * ncols
+        for _, j in cells:
+            base_cols[j] += 1
+        # A filling on the support is the support plus a multiset of
+        # extra units on its cells.
+        for extra in range(max_total - len(cells) + 1):
+            for units in combinations_with_replacement(cells, extra):
+                row_sums, col_sums = base_rows[:], base_cols[:]
+                for i, j in units:
+                    row_sums[i] += 1
+                    col_sums[j] += 1
+                buckets[tuple(row_sums), tuple(col_sums)] += sign
     mismatches = []
     # (total, row_sums, col_sums) is the order iter_profiles visits them in.
     for row_sums, col_sums in sorted(
-        avoiders1.keys() | avoiders2.keys(), key=lambda sums: (sum(sums[0]), sums)
+        (sums for sums, diff in buckets.items() if diff),
+        key=lambda sums: (sum(sums[0]), sums),
     ):
-        count1 = avoiders1[row_sums, col_sums]
-        count2 = avoiders2[row_sums, col_sums]
-        if count1 != count2:
-            mismatches.append(
-                f"shape={parts} rows={row_sums} cols={col_sums}: "
-                f"{count1} != {count2}"
-            )
+        count1 = _kernel.count_avoiders(parts, row_sums, col_sums, p1_rows)
+        count2 = count1 - buckets[row_sums, col_sums]
+        mismatches.append(
+            f"shape={parts} rows={row_sums} cols={col_sums}: {count1} != {count2}"
+        )
     return instances, mismatches
 
 
@@ -280,14 +256,15 @@ def verify_equirestrictive(
     avoider counts of the two patterns.  The sweep runs smallest shapes
     first, so the first recorded mismatch is a minimal counterexample.
 
-    Each shape's fillings of total at most ``max_total`` are enumerated
-    once, and each pattern's avoiders among them are bucketed by their
-    (row sums, column sums); a bucket's size is the avoider count of that
-    prescription, and a prescription with no bucket has none.  Containment
-    is tested once per support (the set of nonzero cells) and reused for
-    every filling with that support.  This is exact because an occurrence
-    only asks which cells are nonzero, never what they hold.  Mismatches
-    are listed in the order of ``iter_profiles``.
+    The avoider counts of a prescription differ only through its fillings
+    on which exactly one pattern occurs, and an occurrence only asks which
+    cells are nonzero, never what they hold.  So each shape's supports (sets
+    of nonzero cells) are walked once, and only the fillings of total at
+    most ``max_total`` on the supports where the patterns disagree are
+    listed, each adding +1 or -1 to a bucket keyed by its (row sums, column
+    sums); see ``_verify_shape_worker``.  A shape on which neither pattern
+    occurs with every cell nonzero lists nothing.  Mismatches are listed in
+    the order of ``iter_profiles``.
 
     Shapes are split over ``min(jobs, os.cpu_count(), shapes)`` worker
     processes; a worker that dies raises ``BrokenProcessPool``.  Negative

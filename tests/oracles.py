@@ -77,6 +77,53 @@ def brute_contains(parts, grid, pat):
     return False
 
 
+def fillings_within(parts, max_total):
+    """Every filling of the diagram with total at most ``max_total``, as
+    ``(support, filling, row_sums, col_sums)``; bit k of ``support`` is set
+    when the k-th cell in row-major order is nonzero."""
+    cells = [(i, j) for i, length in enumerate(parts) for j in range(length)]
+    ncols = parts[0] if parts else 0
+
+    def values(k, budget):
+        if k == len(cells):
+            yield ()
+            return
+        for value in range(budget + 1):
+            for rest in values(k + 1, budget - value):
+                yield (value,) + rest
+
+    found = []
+    for entries in values(0, max_total):
+        grid = [[0] * length for length in parts]
+        row_sums = [0] * len(parts)
+        col_sums = [0] * ncols
+        support = 0
+        for k, ((i, j), value) in enumerate(zip(cells, entries)):
+            grid[i][j] = value
+            row_sums[i] += value
+            col_sums[j] += value
+            if value:
+                support |= 1 << k
+        grid = tuple(map(tuple, grid))
+        found.append((support, grid, tuple(row_sums), tuple(col_sums)))
+    return found
+
+
+def avoiders_by_sums(parts, fillings, pat):
+    """Avoiders of the pattern among ``fillings``, keyed by
+    ``(row_sums, col_sums)``; containment is tested once per support."""
+    from collections import Counter
+
+    contained = {}
+    avoiders = Counter()
+    for support, grid, row_sums, col_sums in fillings:
+        if support not in contained:
+            contained[support] = brute_contains(parts, grid, pat)
+        if not contained[support]:
+            avoiders[row_sums, col_sums] += 1
+    return avoiders
+
+
 def brute_occurrences(parts, grid, pat):
     """All occurrences as (rows, cols) pairs of 1-based selections."""
     s = len(pat)

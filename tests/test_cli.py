@@ -55,15 +55,25 @@ class TestEnumerateAndCount:
         assert code == 0
         assert out == "0\n" * 1500
 
-    def test_too_deep_input_is_usage_error(self, capsys):
-        # A row is still filled column by column, one call deeper each.
-        code, _, err = run_cli(
+    def test_enumerate_more_columns_than_the_recursion_limit(self, capsys):
+        # Row fills step like an odometer, so a long row costs no stack.
+        code, out, _ = run_cli(
             capsys,
             "enumerate-fillings",
             "--shape", "1500,1500", "--rows", "1,0",
             "--cols", ",".join(["1"] + ["0"] * 1499),
         )
+        assert code == 0
+        assert out == "1" + " 0" * 1499 + "\n" + "0" + " 0" * 1499 + "\n"
+
+    def test_too_deep_input_is_usage_error(self, capsys):
+        # thm3_5 lists degree sequences by compositions, which recurse once
+        # per vertex.
+        code, out, err = run_cli(
+            capsys, "experiment", "thm3_5", "--bounds", "n=1500,total_degree=0"
+        )
         assert code == 2
+        assert out == ""
         assert err.startswith("error: ")
 
 
@@ -216,16 +226,51 @@ class TestVerifyAndExperiment:
         assert "FAIL" in out
 
     @pytest.mark.parametrize(
-        "option, value",
-        [("--max-cells", "-1"), ("--max-total", "-2"), ("--jobs", "0")],
+        "argv",
+        [
+            ("--max-cells", "-1"),
+            ("--max-total", "-2"),
+            ("--jobs", "0"),
+            ("--max-total", "1"),
+            ("--p1", "I3", "--p2", "J3", "--max-cells", "8"),
+        ],
+        ids=[
+            "--max-cells--1",
+            "--max-total--2",
+            "--jobs-0",
+            "more-ones-than-total",
+            "no-shape-holds-either",
+        ],
     )
-    def test_verify_rejects_empty_sweep(self, capsys, option, value):
-        code, out, err = run_cli(
-            capsys, "verify", "--p1", "I2", "--p2", "J2", option, value
-        )
+    def test_verify_rejects_empty_sweep(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--p1", "I2", "--p2", "J2", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_empty_sweep_error_says_why(self, capsys):
+        code, _, err = run_cli(
+            capsys, "verify", "--p1", "I3", "--p2", "J2",
+            "--max-cells", "3", "--max-total", "2",
+        )
+        assert code == 2
+        assert "I3 has 3 1-entries, more than --max-total 2" in err
+        assert "J2 needs a 2x2 rectangle of cells, more than --max-cells 3" in err
+
+    @pytest.mark.parametrize(
+        "p1, p2, cells, total, code",
+        [("I1", "J2", "3", "2", 1), ("I3", "J3", "9", "3", 0)],
+    )
+    def test_sweep_that_compares_something_runs(
+        self, capsys, p1, p2, cells, total, code
+    ):
+        # Only I1 occurs within 3 cells; I3 and J3 fit a 3x3 shape exactly.
+        got, out, _ = run_cli(
+            capsys, "verify", "--p1", p1, "--p2", p2,
+            "--max-cells", cells, "--max-total", total,
+        )
+        assert got == code
+        assert ("FAIL" if code else "PASS") in out
 
     def test_experiment_machine_format(self, capsys):
         code, out, _ = run_cli(

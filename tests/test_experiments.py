@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import threading
+from itertools import combinations
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -25,7 +26,13 @@ from crossnest.experiments import (
 from crossnest.patterns import antiidentity, identity, parse_pattern
 from crossnest.shapes import Shape, SumProfile
 
-from oracles import brute_contains, brute_fillings, catalan_closed_form
+from oracles import (
+    avoiders_by_sums,
+    brute_contains,
+    brute_fillings,
+    catalan_closed_form,
+    fillings_within,
+)
 
 
 class TestSweepHelpers:
@@ -176,8 +183,8 @@ class TestCountingEnginesAgree:
         pat = parse_pattern(spec)
         unbucketed = 0
         for shape in iter_shapes(7):
-            fillings = list(experiments._fillings_within(shape.parts, 4))
-            buckets = experiments._avoiders_by_sums(shape.parts, fillings, pat.rows)
+            fillings = fillings_within(shape.parts, 4)
+            buckets = avoiders_by_sums(shape.parts, fillings, pat.rows)
             for profile in iter_profiles(shape, 4):
                 sums = (profile.row_sums, profile.col_sums)
                 unbucketed += sums not in buckets
@@ -256,12 +263,107 @@ class TestSweepMatchesPerProfileReference:
         assert report.counts == counts
         assert list(report.failures) == failures
 
+    @pytest.mark.parametrize("spec1, spec2", [("1,0", "0,1"), ("0,1;1,0", "1,1")])
+    def test_pairs_with_zero_rows_or_columns(self, spec1, spec2):
+        # A zero row or column constrains only the corner of an occurrence.
+        p1, p2 = parse_pattern(spec1), parse_pattern(spec2)
+        report = verify_equirestrictive(p1, p2, 6, 3)
+        counts, failures = reference_sweep(p1, p2, 6, 3)
+        assert failures
+        assert report.counts == counts
+        assert list(report.failures) == failures
+
     def test_failing_pair_parallel_matches_sequential(self):
         seq = verify_equirestrictive(identity(2), antiidentity(3), 7, 4, jobs=1)
         par = verify_equirestrictive(identity(2), antiidentity(3), 7, 4, jobs=2)
         assert seq.verdict == par.verdict == "fail"
         assert seq.counts == par.counts
         assert seq.failures == par.failures
+
+
+def bucketed_sweep(p1, p2, max_cells, max_total):
+    """The sweep from the listing oracle's buckets, as counts and failure
+    lines."""
+    counts = {"shapes": 0, "instances": 0}
+    failures = []
+    for shape in iter_shapes(max_cells):
+        counts["shapes"] += 1
+        fillings = fillings_within(shape.parts, max_total)
+        avoiders1 = avoiders_by_sums(shape.parts, fillings, p1.rows)
+        avoiders2 = avoiders_by_sums(shape.parts, fillings, p2.rows)
+        for profile in iter_profiles(shape, max_total):
+            counts["instances"] += 1
+            sums = (profile.row_sums, profile.col_sums)
+            if avoiders1[sums] != avoiders2[sums]:
+                failures.append(
+                    f"shape={shape.parts} rows={profile.row_sums} "
+                    f"cols={profile.col_sums}: {avoiders1[sums]} != {avoiders2[sums]}"
+                )
+    counts["violations"] = len(failures)
+    return counts, failures
+
+
+class TestSweepMatchesListingOracle:
+    def test_order_three_patterns_where_they_occur(self):
+        # I_3 and J_3 need a 3x3 shape, so 9 cells is the least bound at
+        # which this pair compares anything.
+        p1, p2 = identity(3), antiidentity(3)
+        assert list(_kernel.disagreeing_supports((3, 3, 3), p1.rows, p2.rows, 4))
+        report = verify_equirestrictive(p1, p2, 9, 4)
+        assert (report.counts, list(report.failures)) == bucketed_sweep(p1, p2, 9, 4)
+
+    def test_failing_pair(self):
+        p1, p2 = identity(2), antiidentity(3)
+        report = verify_equirestrictive(p1, p2, 6, 3)
+        counts, failures = bucketed_sweep(p1, p2, 6, 3)
+        assert failures
+        assert (report.counts, list(report.failures)) == (counts, failures)
+
+
+def brute_disagreeing_supports(parts, pat1, pat2, max_size):
+    """Every support of at most ``max_size`` cells on which exactly one
+    pattern occurs, with the sign ``disagreeing_supports`` gives it."""
+    cells = [(i, j) for i, length in enumerate(parts) for j in range(length)]
+    found = set()
+    for size in range(min(max_size, len(cells)) + 1):
+        for chosen in combinations(cells, size):
+            grid = [[0] * length for length in parts]
+            masks = [0] * len(parts)
+            for i, j in chosen:
+                grid[i][j] = 1
+                masks[i] |= 1 << j
+            hit1 = brute_contains(parts, grid, pat1)
+            hit2 = brute_contains(parts, grid, pat2)
+            if hit1 != hit2:
+                found.add((tuple(masks), 1 if hit2 else -1))
+    return found
+
+
+class TestDisagreeingSupports:
+    @pytest.mark.parametrize(
+        "spec1, spec2",
+        [
+            ("I2", "J2"),
+            ("I1", "J2"),
+            ("I2", "1,1"),
+            ("1,0", "0,1"),
+            ("0,1;1,0", "1,1"),
+            ("1;0", "J2"),
+        ],
+    )
+    @pytest.mark.parametrize("max_size", [2, 7])
+    def test_matches_brute_force_on_every_small_shape(self, spec1, spec2, max_size):
+        pat1, pat2 = parse_pattern(spec1).rows, parse_pattern(spec2).rows
+        yielded = 0
+        for shape in iter_shapes(7):
+            walked = list(
+                _kernel.disagreeing_supports(shape.parts, pat1, pat2, max_size)
+            )
+            assert len(walked) == len(set(walked))
+            expected = brute_disagreeing_supports(shape.parts, pat1, pat2, max_size)
+            assert set(walked) == expected, shape.parts
+            yielded += len(walked)
+        assert yielded
 
 
 class TestSweepWorkerPool:

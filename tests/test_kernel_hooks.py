@@ -10,7 +10,14 @@ from crossnest import _kernel, _purekern
 
 @pytest.mark.parametrize(
     "name",
-    ["iter_fillings", "contains", "count_avoiders", "count_by_row_sums", "longest_chain"],
+    [
+        "iter_fillings",
+        "contains",
+        "count_avoiders",
+        "count_by_row_sums",
+        "disagreeing_supports",
+        "longest_chain",
+    ],
 )
 def test_kernel_reexports_pure_kernel(name):
     assert getattr(_kernel, name) is getattr(_purekern, name)
