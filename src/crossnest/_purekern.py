@@ -21,8 +21,13 @@ transfers and listings stack their rows, so nothing here recurses.
 ``disagreeing_supports`` walks a diagram's supports (sets of nonzero
 cells) with the same occurrence update, carrying two patterns at once,
 and yields those on which exactly one occurs: the only fillings on which
-an equirestrictive sweep can find the two patterns' counts apart.  No
-cache outlives a call.
+an equirestrictive sweep can find the two patterns' counts apart.  One
+cache outlives a call: ``_prescription_fills`` keeps the row fills of the
+last prescription counted, so the patterns counted on one prescription
+list its rows once.  It cannot change a count: each entry is a pure
+function of its key, so an earlier call, or a thread listing the same
+entry at once, leaves only the rows a fresh listing gives.  It holds one
+prescription, so it stays small.
 
 ``longest_chain`` is the one chain scan: the strict and weak lengths of
 identity and antidiagonal chains, which give both largest pattern orders
@@ -32,6 +37,7 @@ of a filling and the four crossing and nesting statistics of a graph.
 from __future__ import annotations
 
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import sub
@@ -370,6 +376,21 @@ def disagreeing_supports(
             stack.pop()
 
 
+@lru_cache(maxsize=1)
+def _prescription_fills(
+    parts: tuple[int, ...], row_sums: tuple[int, ...], col_sums: tuple[int, ...]
+) -> dict:
+    """The row fills ``count_avoiders`` has listed for the prescription,
+    as ``list(_row_fills(caps, amount))`` by ``(caps, amount)``, which its
+    callers fill in.
+
+    Only the last prescription is kept.  So each pattern counted on a
+    prescription after the first reads the rows listed for it, and a
+    prescription's rows go as soon as another is counted.
+    """
+    return {}
+
+
 def count_avoiders(
     parts: Sequence[int],
     row_sums: Sequence[int],
@@ -385,10 +406,11 @@ def count_avoiders(
     rows above only through that state, so a layer maps each state after a
     row to the number of ways to reach it, the next layer is built from it,
     and the answer is the sum of the last layer.  The free rows of each
-    remainder and amount are listed once per call, and the occurrence
-    update of each levels and support once per row.  Every column is
-    emptied in its last row and the last row has no free column, so a
-    prescription with no filling counts 0 by itself.
+    remainder and amount are listed once per prescription, and kept by
+    ``_prescription_fills`` for the next pattern counted on it; the
+    occurrence update of each levels and support is found once per row.
+    Every column is emptied in its last row and the last row has no free
+    column, so a prescription with no filling counts 0 by itself.
     """
     nrows = len(parts)
     if nrows == 0:
@@ -396,7 +418,7 @@ def count_avoiders(
     advance, start = _occurrence_step(parts, pat)
     # Columns at or past bounds[i] have their last cell in row i.
     bounds = tuple(parts[1:]) + (0,)
-    fills: dict = {}
+    fills = _prescription_fills(tuple(parts), tuple(row_sums), tuple(col_sums))
     layer = {(tuple(col_sums), start): 1}
     for i, length in enumerate(parts):
         free = bounds[i]

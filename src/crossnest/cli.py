@@ -151,8 +151,35 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict == "pass" else CLAIM_VIOLATED
 
 
+def _cor3_9_compares_nothing(bounds: dict) -> Optional[str]:
+    """Why ``cor3_9`` within the bounds compares nothing, or None when a
+    graph within them can contain its patterns.  Both patterns of order k
+    have 2k + 2 vertices and k + 1 edges, so no graph with fewer vertices
+    or fewer edges contains either, and every avoider count ties."""
+    declared = experiments.EXPERIMENTS["cor3_9"].bounds
+    n, m, k = (bounds.get(key, declared[key][0]) for key in ("n", "m", "k"))
+    # Unknown keys and values below their least get their own error from
+    # run_experiment.
+    if set(bounds) - set(declared) or any(
+        value < declared[key][1] for key, value in bounds.items()
+    ):
+        return None
+    if n < 2 * k + 2:
+        return f"n={n} is below the {2 * k + 2} vertices of the k={k} patterns"
+    if m < k + 1:
+        return f"m={m} is below the {k + 1} edges of the k={k} patterns"
+    return None
+
+
 def _cmd_experiment(args) -> int:
-    report = experiments.run_experiment(args.id, _parse_bounds(args.bounds))
+    bounds = _parse_bounds(args.bounds)
+    reason = _cor3_9_compares_nothing(bounds) if args.id == "cor3_9" else None
+    if reason:
+        raise ValueError(
+            "no graph within the bounds contains either pattern, so the "
+            "experiment would compare nothing: " + reason
+        )
+    report = experiments.run_experiment(args.id, bounds)
     _emit_report(report, args.format)
     return 0 if report.verdict == "pass" else CLAIM_VIOLATED
 

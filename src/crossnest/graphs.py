@@ -333,7 +333,8 @@ def contains_subgraph(
     if h.n > graph.n:
         return False
 
-    degrees = degree_sequence(graph).pairs
+    # Only a SplitGraph pattern's sides read the degrees.
+    degrees = degree_sequence(graph).pairs if h_side is not None else ()
 
     def can_play(vertex: int, opening: bool) -> bool:
         left, right = degrees[vertex - 1]

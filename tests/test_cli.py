@@ -320,6 +320,36 @@ class TestExperimentRejectsIgnoredOrEmptyBounds:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "bounds, reason",
+        [
+            ("k=3", "n=7 is below the 8 vertices of the k=3 patterns"),
+            ("n=5", "n=5 is below the 6 vertices of the k=2 patterns"),
+            ("n=6,m=2", "m=2 is below the 3 edges of the k=2 patterns"),
+        ],
+    )
+    def test_cor3_9_bounds_that_compare_nothing(self, capsys, bounds, reason):
+        # Both patterns of order k have 2k + 2 vertices and k + 1 edges.
+        code, out, err = run_cli(capsys, "experiment", "cor3_9", "--bounds", bounds)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert reason in err
+
+    def test_cor3_9_smallest_bounds_that_compare_something_run(self, capsys):
+        code, out, _ = run_cli(capsys, "experiment", "cor3_9", "--bounds", "n=6,m=3")
+        assert code == 0
+        assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [("n=-1", "below its least value"), ("k=3,x=1", "reads no bound 'x'")],
+    )
+    def test_cor3_9_bad_bounds_keep_their_own_error(self, capsys, bounds, message):
+        code, _, err = run_cli(capsys, "experiment", "cor3_9", "--bounds", bounds)
+        assert code == 2
+        assert message in err
+
     def test_jobs_rejected_by_parser(self, capsys):
         # The experiments run in one process, so there is no --jobs to take.
         with pytest.raises(SystemExit) as excinfo:

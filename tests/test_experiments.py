@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import re
+import sys
 import threading
 from itertools import combinations
 from concurrent.futures.process import BrokenProcessPool
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from crossnest import _kernel, experiments
+from crossnest import _kernel, _purekern, experiments
 from crossnest.experiments import (
     EXPERIMENTS,
     ExperimentReport,
@@ -173,6 +175,134 @@ class TestCountAvoidersAgainstOracles:
         pat = parse_pattern(spec)
         count = _kernel.count_avoiders((2,) * 1500, (1,) * 1500, (750, 750), pat.rows)
         assert count == 1
+
+
+SHARED_FILL_PATTERNS = ("I2", "J2", "I3", "J3", "M213", "F3")
+
+
+def record_row_fills(monkeypatch) -> list:
+    """Patch the kernel's row-fill rule to record the ``(caps, amount)`` of
+    each listing it starts, and return the record."""
+    listed: list = []
+    row_fills = _purekern._row_fills
+
+    def recorded(caps, amount):
+        listed.append((caps, amount))
+        return row_fills(caps, amount)
+
+    monkeypatch.setattr(_purekern, "_row_fills", recorded)
+    return listed
+
+
+def fresh_count(parts, row_sums, col_sums, pat) -> int:
+    _purekern._prescription_fills.cache_clear()
+    return _kernel.count_avoiders(parts, row_sums, col_sums, pat)
+
+
+class TestSharedRowFills:
+    """``count_avoiders`` keeps the row fills of the last prescription
+    counted; no count may depend on what was counted before it."""
+
+    def test_counts_do_not_depend_on_call_history(self):
+        pats = [parse_pattern(spec).rows for spec in SHARED_FILL_PATTERNS]
+        calls = [
+            (shape.parts, profile.row_sums, profile.col_sums, pat)
+            for shape in iter_shapes(6)
+            for profile in iter_profiles(shape, 3)
+            for pat in pats
+        ]
+        expected = {call: fresh_count(*call) for call in calls}
+        random.Random(13).shuffle(calls)
+        for call in calls:
+            assert _kernel.count_avoiders(*call) == expected[call], call
+
+    def test_threads_counting_one_prescription_at_once(self):
+        # Each round starts every thread on the same emptied fills, so they
+        # race to list the same entries; a thread must never read a list
+        # another is still filling.
+        prescription = ((5, 4, 4, 3), (4, 3, 4, 3), (2, 4, 4, 3, 1))
+        pats = [parse_pattern(spec).rows for spec in ("I2", "J2", "I3", "J3")]
+        expected = [fresh_count(*prescription, pat) for pat in pats]
+        start = threading.Barrier(
+            len(pats), action=_purekern._prescription_fills.cache_clear
+        )
+        wrong: list = []
+
+        def count(worker):
+            for round_ in range(40):
+                start.wait(timeout=60)
+                which = (worker + round_) % len(pats)
+                got = _kernel.count_avoiders(*prescription, pats[which])
+                if got != expected[which]:
+                    wrong.append((round_, which, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=count, args=(worker,))
+                for worker in range(len(pats))
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (((2, 2), (1, 1), (1, 1)), ((2, 2), (1, 1), (2, 0))),
+            (((3, 3), (2, 1), (1, 1, 1)), ((3, 3), (2, 1), (0, 1, 2))),
+            (((2, 2), (1, 1), (1, 1)), ((2, 2), (2, 0), (1, 1))),
+            (((3, 3), (2, 1), (1, 1, 1)), ((3, 1), (2, 1), (1, 1, 1))),
+        ],
+        ids=["cols", "cols-wider", "rows", "parts"],
+    )
+    def test_back_to_back_prescriptions_list_their_own_rows(
+        self, monkeypatch, first, second
+    ):
+        # The two differ in one field and share some (caps, amount), so a
+        # key that drops that field would hand the second the first's rows.
+        pat = parse_pattern("I2").rows
+        listed = record_row_fills(monkeypatch)
+        alone = fresh_count(*second, pat)
+        on_its_own = set(listed)
+        fresh_count(*first, pat)
+        assert on_its_own & set(listed[len(on_its_own):])
+        del listed[:]
+        assert _kernel.count_avoiders(*second, pat) == alone
+        assert set(listed) == on_its_own
+        assert len(listed) == len(on_its_own)
+
+    def test_patterns_on_one_prescription_list_its_rows_once(self, monkeypatch):
+        parts, row_sums, col_sums = (5, 4, 4, 3), (4, 3, 4, 3), (2, 4, 4, 3, 1)
+        listed = record_row_fills(monkeypatch)
+        _purekern._prescription_fills.cache_clear()
+        for spec in ("I2", "J2", "I3", "J3"):
+            pat = parse_pattern(spec).rows
+            _kernel.count_avoiders(parts, row_sums, col_sums, pat)
+        assert listed
+        assert len(listed) == len(set(listed))
+        del listed[:]
+        _kernel.count_avoiders(parts, row_sums, col_sums, parse_pattern("I2").rows)
+        assert listed == []
+
+    def test_only_the_last_prescription_is_kept(self, monkeypatch):
+        pat = parse_pattern("J2").rows
+        first, second = ((2, 2), (1, 1), (1, 1)), ((2, 2), (2, 0), (1, 1))
+        listed = record_row_fills(monkeypatch)
+        fresh_count(*first, pat)
+        on_its_own = sorted(listed)
+        _kernel.count_avoiders(*second, pat)
+        del listed[:]
+        _kernel.count_avoiders(*first, pat)
+        assert sorted(listed) == on_its_own
+        info = _purekern._prescription_fills.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
 
 
 class TestCountingEnginesAgree:

@@ -331,6 +331,24 @@ class TestContainsSubgraph:
         pattern = Multigraph.from_pairs(3, [(1, 3)])
         assert contains_subgraph(mg(3, (1, 3), (2, 3)), pattern)
 
+    def test_degrees_read_only_for_split_patterns(self, monkeypatch):
+        # Only a SplitGraph pattern's sides need the graph's degrees.
+        from crossnest import graphs
+
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return degree_sequence(graph)
+
+        monkeypatch.setattr(graphs, "degree_sequence", counted)
+        graph = mg(4, (1, 3), (2, 4))
+        assert contains_subgraph(graph, Multigraph.from_pairs(2, [(1, 2)]))
+        assert not contains_subgraph(graph, Multigraph.from_pairs(4, [(1, 4), (2, 3)]))
+        assert calls == []
+        assert contains_subgraph(graph, k_crossing_pattern(2))
+        assert calls == [graph]
+
 
 class TestSplitGraphDictionary:
     def test_round_trip_all_small_matrices(self):
