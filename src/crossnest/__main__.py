@@ -1,0 +1,8 @@
+"""``python -m crossnest ...`` runs the command line, as ``crossnest ...`` does."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,10 +12,14 @@ strict identity chain and k crossing edges a strict antidiagonal chain,
 the corner condition being their interleaving; weak chains repeat
 endpoints and count every copy of a multi-edge.  So the four statistics
 are taken by the kernel's one chain scan, ``_purekern.longest_chain``.
+
+Perfect matchings are also counted without being listed, by their
+numbers of k-crossings and k-nestings: see ``matching_chain_counts``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Optional
@@ -300,6 +304,83 @@ def enumerate_perfect_matchings(n: int) -> Iterator[Multigraph]:
             edges.pop()
 
     yield from pair_up(tuple(range(1, n + 1)))
+
+
+def _monotone_subsequences(labels: list[int], k: int, increasing: bool) -> int:
+    """Number of increasing (or decreasing) (k-1)-subsequences of the
+    distinct ``labels``, for k = 2 or 3."""
+    if k == 2:
+        return len(labels)
+    return sum(
+        1
+        for i, x in enumerate(labels)
+        for y in labels[i + 1:]
+        if (x < y) == increasing
+    )
+
+
+def _matching_moves(
+    word: tuple[int, ...], k: int
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Each way to pair the leftmost free point ``a`` with a later free
+    point ``b``, as ``(next word, k-crossings, k-nestings)`` completed by
+    the arc (a, b).  ``word`` describes the points right of ``a``; see
+    ``matching_chain_counts``."""
+    label = len(word) - word.count(0) + 1
+    for b, point in enumerate(word):
+        if point:
+            continue
+        crossings = _monotone_subsequences([x for x in word[:b] if x], k, True)
+        nestings = _monotone_subsequences([x for x in word[b + 1:] if x], k, False)
+        placed = word[:b] + (label,) + word[b + 1:]
+        if 0 in placed:
+            rest = placed[placed.index(0) + 1:]
+            rank = {x: r for r, x in enumerate(sorted(x for x in rest if x), 1)}
+            after = tuple(rank.get(x, 0) for x in rest)
+        else:
+            after = ()
+        yield after, crossings, nestings
+
+
+def matching_chain_counts(vertices: int, k: int) -> Counter:
+    """Perfect matchings on ``vertices`` points counted by their numbers of
+    k-crossings and k-nestings, each capped at 2, for k = 2 or 3.
+
+    Returns a ``Counter`` from ``(min(#k-crossings, 2), min(#k-nestings,
+    2))`` to the number of matchings; no matching is listed.  Arcs are
+    placed as ``enumerate_perfect_matchings`` places them: the leftmost
+    free point ``a`` is paired with each later free point ``b``.  The
+    state is the word of the points right of ``a``: 0 marks a free point,
+    and r the right end of the arc whose left end is the r-th leftmost of
+    the arcs ending in the word, so labels are ranked again after each
+    arc.  The arcs whose right ends lie between ``a`` and ``b`` are those
+    that cross (a, b), and two of them cross each other exactly when their
+    labels increase left to right, so (a, b) completes one k-crossing per
+    increasing (k-1)-subsequence of their labels; likewise one k-nesting
+    per decreasing (k-1)-subsequence of the labels right of ``b``.  Each
+    k-crossing or k-nesting is counted once, at its arc with the largest
+    left end.  The pass is layered, one layer per arc, each mapping a word
+    to a ``Counter`` of the capped counts so far.  A word's number of free
+    points fixes its layer, so each word's moves are computed once.
+    """
+    if vertices < 0:
+        raise ValueError("vertex count must be nonnegative")
+    if vertices % 2:
+        raise ValueError("perfect matchings need an even vertex count")
+    if k not in (2, 3):
+        raise ValueError(f"k-crossings and k-nestings are counted for k = 2 or 3: {k}")
+    layer = {(0,) * (vertices - 1): Counter({(0, 0): 1})}
+    for _ in range(vertices // 2):
+        below: dict[tuple[int, ...], Counter] = {}
+        for word, tallies in layer.items():
+            for after, crossings, nestings in _matching_moves(word, k):
+                target = below.get(after)
+                if target is None:
+                    target = below[after] = Counter()
+                for (c, n), number in tallies.items():
+                    target[min(c + crossings, 2), min(n + nestings, 2)] += number
+        layer = below
+    return layer[()]
 
 
 def contains_subgraph(

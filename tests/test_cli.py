@@ -312,6 +312,14 @@ class TestExperimentRejectsIgnoredOrEmptyBounds:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_odd_vertex_count(self, capsys):
+        code, out, err = run_cli(
+            capsys, "experiment", "noy_matchings", "--bounds", "vertices=13"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: perfect matchings need an even vertex count\n"
+
     def test_odd_total_degree(self, capsys):
         code, out, err = run_cli(
             capsys, "experiment", "thm3_5", "--bounds", "n=4,total_degree=5"
@@ -358,18 +366,24 @@ class TestExperimentRejectsIgnoredOrEmptyBounds:
         assert capsys.readouterr().out == ""
 
 
+def source_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    import os
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestClosedOutput:
     def test_closed_stdout_is_not_a_usage_error(self):
         import os
         import subprocess
         import sys
-        from pathlib import Path
 
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
+        env = source_env()
         # A pipe whose reader is already gone: the first write fails.
         read_end, write_end = os.pipe()
         os.close(read_end)
@@ -386,3 +400,19 @@ class TestClosedOutput:
             os.close(write_end)
         assert result.returncode == 141
         assert result.stderr == ""
+
+
+class TestRunAsModule:
+    def test_python_m_crossnest_runs_the_cli(self):
+        import subprocess
+        import sys
+
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "crossnest", "experiment", "catalan",
+                "--bounds", "n=3", "--format", "machine",
+            ],
+            capture_output=True, text=True, env=source_env(), timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["counts"]["catalan(3)"] == 5

@@ -617,6 +617,17 @@ class TestCannedExperiments:
             == report.counts["multigraph noncrossing"]
         )
 
+    def test_noy_matchings_at_fourteen_vertices(self):
+        # The counts that listing every matching and testing its arc
+        # triples gives.
+        report = run_experiment("noy_matchings", {"vertices": 14})
+        assert report.counts == {
+            "matchings": 135135,
+            "exactly one 3-crossing": 27230,
+            "exactly one 3-nesting": 27017,
+            "violations": 0,
+        }
+
     def test_catalan_against_closed_form(self):
         report = run_experiment("catalan", {"n": 5})
         for n in range(1, 6):

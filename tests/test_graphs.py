@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +27,7 @@ from crossnest.graphs import (
     is_k_nonnesting,
     k_crossing_pattern,
     k_nesting_pattern,
+    matching_chain_counts,
     matrix_of_split_graph,
     nest,
     nest_weak,
@@ -35,6 +39,8 @@ from crossnest.graphs import (
 from crossnest.patterns import PatternMatrix, antiidentity, identity
 
 from oracles import (
+    _is_crossing_set,
+    _is_nesting_set,
     graphs_by_halfedge_matching,
     pairwise_cross,
     pairwise_cross_weak,
@@ -271,6 +277,37 @@ class TestEnumerateGraphs:
     def test_matchings_count(self):
         assert sum(1 for _ in enumerate_perfect_matchings(6)) == 15
         assert sum(1 for _ in enumerate_perfect_matchings(8)) == 105
+
+
+class TestMatchingChainCounts:
+    @staticmethod
+    def brute(vertices, k):
+        """Capped (k-crossings, k-nestings) tallies over listed matchings,
+        testing every k-subset of arcs pairwise."""
+        tallies = Counter()
+        for graph in enumerate_perfect_matchings(vertices):
+            subsets = list(combinations(graph.edge_pairs(), k))
+            crossings = sum(1 for arcs in subsets if _is_crossing_set(arcs))
+            nestings = sum(1 for arcs in subsets if _is_nesting_set(arcs))
+            tallies[min(crossings, 2), min(nestings, 2)] += 1
+        return tallies
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("vertices", [0, 2, 4, 6, 8, 10])
+    def test_matches_brute_count(self, vertices, k):
+        assert matching_chain_counts(vertices, k) == self.brute(vertices, k)
+
+    @pytest.mark.parametrize(
+        "vertices, k, message",
+        [
+            (13, 3, "perfect matchings need an even vertex count"),
+            (-2, 3, "vertex count must be nonnegative"),
+            (8, 4, "counted for k = 2 or 3"),
+        ],
+    )
+    def test_rejects(self, vertices, k, message):
+        with pytest.raises(ValueError, match=message):
+            matching_chain_counts(vertices, k)
 
 
 class TestContainsSubgraph:
