@@ -15,10 +15,12 @@ corner condition is exactly the interleaving condition of a crossing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .graphs import Multigraph, degree_sequence, staircase, staircase_cells
-from .patterns import antidiagonal_cells, first_j_occurrence
+# ``first_j_occurrence`` is not called here.  It stays bound because
+# perfbench's tracer times the minimal-occurrence search by replacing this
+# name in this module's namespace, and fails where it is missing.
+from .patterns import first_j_occurrence  # noqa: F401
 from .shapes import Filling, validate_shape
 
 Cell = tuple[int, int]
@@ -230,21 +232,6 @@ def lr_decode(filling: Filling) -> LeftRightGraph:
     return LeftRightGraph(graph, tags)
 
 
-@dataclass(frozen=True)
-class JtFrame:
-    """The frame of the minimal order-t antidiagonal occurrence.
-
-    ``a_cells`` are its cells left to right (bottom-left first);
-    ``b_cells`` are the cells one step up the staircase plus the corner,
-    the occurrence the transfer map creates; ``region_e`` is the strip
-    strictly between the two boundary paths, empty by minimality.
-    """
-
-    a_cells: tuple[Cell, ...]
-    b_cells: tuple[Cell, ...]
-    region_e: frozenset[Cell]
-
-
 def b_cells_of(a_cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
     """Companion cells of an antidiagonal cell list: (r_{s+1}, c_s) for
     s < t, plus (r_1, c_t)."""
@@ -252,58 +239,3 @@ def b_cells_of(a_cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
     cells = [(a_cells[s + 1][0], a_cells[s][1]) for s in range(t - 1)]
     cells.append((a_cells[0][0], a_cells[t - 1][1]))
     return tuple(cells)
-
-
-def _path_a_cells(a_cells: tuple[Cell, ...]) -> set[Cell]:
-    """Boundary path through the a-cells: along the bottom row, then up and
-    right through each a-cell, then up the last column to the top."""
-    t = len(a_cells)
-    rows = [cell[0] for cell in a_cells]
-    cols = [cell[1] for cell in a_cells]
-    path: set[Cell] = set()
-    path.update((rows[0], col) for col in range(1, cols[1] + 1))
-    for s in range(t - 1):
-        path.update((row, cols[s + 1]) for row in range(rows[s + 1], rows[s] + 1))
-    for s in range(1, t - 1):
-        path.update((rows[s], col) for col in range(cols[s], cols[s + 1] + 1))
-    path.update((row, cols[t - 1]) for row in range(1, rows[t - 1] + 1))
-    return path
-
-
-def _path_b_cells(a_cells: tuple[Cell, ...]) -> set[Cell]:
-    """Boundary path through the b-cells, one staircase step inside."""
-    t = len(a_cells)
-    rows = [cell[0] for cell in a_cells]
-    cols = [cell[1] for cell in a_cells]
-    path: set[Cell] = set()
-    path.update((rows[1], col) for col in range(1, cols[0] + 1))
-    for s in range(t - 2):
-        path.update((row, cols[s]) for row in range(rows[s + 2], rows[s + 1] + 1))
-    for s in range(1, t - 1):
-        path.update((rows[s + 1], col) for col in range(cols[s - 1], cols[s] + 1))
-    path.update((row, cols[t - 2]) for row in range(1, rows[t - 1] + 1))
-    return path
-
-
-def jt_frame(filling: Filling, t: int) -> Optional[JtFrame]:
-    """Frame of the first order-t antidiagonal occurrence, or None."""
-    if t < 2:
-        raise ValueError("order must be at least 2")
-    occ = first_j_occurrence(filling, t)
-    if occ is None:
-        return None
-    a_cells = tuple(antidiagonal_cells(occ))
-    b_cells = b_cells_of(a_cells)
-
-    path_a = _path_a_cells(a_cells)
-    path_b = _path_b_cells(a_cells)
-    bottom_row = a_cells[0][0]
-    region: set[Cell] = set()
-    for row in range(1, bottom_row + 1):
-        a_bound = min((c for (r, c) in path_a if r == row), default=None)
-        if a_bound is None:
-            continue
-        b_bound = max((c for (r, c) in path_b if r == row), default=0)
-        for col in range(b_bound + 1, a_bound):
-            region.add((row, col))
-    return JtFrame(a_cells, b_cells, frozenset(region))

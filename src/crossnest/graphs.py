@@ -25,7 +25,6 @@ from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Optional
 
 from . import _kernel
-from .patterns import PatternMatrix
 
 
 @dataclass(frozen=True)
@@ -79,12 +78,6 @@ class Multigraph:
         """Distinct edges, without multiplicities."""
         return [(u, v) for u, v, _ in self.edges]
 
-    def multiplicity(self, u: int, v: int) -> int:
-        for a, b, m in self.edges:
-            if (a, b) == (u, v):
-                return m
-        return 0
-
     def is_simple(self) -> bool:
         return all(m == 1 for _, _, m in self.edges)
 
@@ -132,10 +125,6 @@ class SplitGraph:
                     f"edge ({u}, {v}) does not go from an opening to a closing"
                 )
 
-    @property
-    def closings(self) -> int:
-        return self.graph.n - self.openings
-
 
 def degree_sequence(graph: Multigraph) -> DegreeSequence:
     """Left and right degrees of every vertex, with multiplicity."""
@@ -163,18 +152,6 @@ def is_feasible(degrees: DegreeSequence) -> bool:
             return False
         right_prefix += right
     return True
-
-
-def split_vertex(degrees: DegreeSequence, index: int) -> DegreeSequence:
-    """Replace entry (l, r) at 1-based ``index`` by (l, 0), (0, r)."""
-    if not 1 <= index <= degrees.n:
-        raise IndexError(f"vertex index {index} out of range")
-    left, right = degrees.pairs[index - 1]
-    return DegreeSequence(
-        degrees.pairs[: index - 1]
-        + ((left, 0), (0, right))
-        + degrees.pairs[index:]
-    )
 
 
 def staircase(n: int) -> tuple[int, ...]:
@@ -217,26 +194,11 @@ def nest_weak(graph: Multigraph) -> int:
     return _chain(graph, anti=False, weak=True)
 
 
-def is_k_noncrossing(graph: Multigraph, k: int) -> bool:
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return cross(graph) < k
-
-
-def is_k_nonnesting(graph: Multigraph, k: int) -> bool:
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return nest(graph) < k
-
-
-def enumerate_graphs(
-    degrees: DegreeSequence, *, max_multiplicity: Optional[int] = None
-) -> Iterator[Multigraph]:
+def enumerate_graphs(degrees: DegreeSequence) -> Iterator[Multigraph]:
     """All multigraphs with the given left-right degree sequence, each once.
 
     Graphs are identified by their edge multisets; the stream is empty
-    exactly when the sequence is infeasible.  ``max_multiplicity=1``
-    restricts to simple graphs.
+    exactly when the sequence is infeasible.
     """
     if not is_feasible(degrees):
         return
@@ -260,8 +222,6 @@ def enumerate_graphs(
                     yield from assign(v + 1)
                 return
             cap = min(rem_right[u], remaining)
-            if max_multiplicity is not None:
-                cap = min(cap, max_multiplicity)
             for count in range(cap + 1):
                 if count:
                     rem_right[u] -= count
@@ -276,13 +236,10 @@ def enumerate_graphs(
     yield from assign(0)
 
 
-def enumerate_graphs_by_size(
-    n: int, m: int, *, simple: bool = False
-) -> Iterator[Multigraph]:
-    """All multigraphs (or simple graphs) with n vertices and m edges."""
+def enumerate_graphs_by_size(n: int, m: int) -> Iterator[Multigraph]:
+    """All multigraphs with n vertices and m edges."""
     all_pairs = list(combinations(range(1, n + 1), 2))
-    chooser = combinations if simple else combinations_with_replacement
-    for multiset in chooser(all_pairs, m):
+    for multiset in combinations_with_replacement(all_pairs, m):
         yield Multigraph.from_pairs(n, multiset)
 
 
@@ -437,43 +394,6 @@ def contains_subgraph(
     return False
 
 
-def k_crossing_pattern(k: int) -> SplitGraph:
-    """The split graph of k pairwise crossing edges on 2k vertices."""
-    return SplitGraph(
-        Multigraph.from_pairs(2 * k, [(i, k + i) for i in range(1, k + 1)]), k
-    )
-
-
-def k_nesting_pattern(k: int) -> SplitGraph:
-    """The split graph of k pairwise nested edges on 2k vertices."""
-    return SplitGraph(
-        Multigraph.from_pairs(2 * k, [(i, 2 * k + 1 - i) for i in range(1, k + 1)]), k
-    )
-
-
-def split_graph_of_matrix(matrix: PatternMatrix) -> SplitGraph:
-    """Split graph on [t + s] with the t columns as openings and the s rows
-    as closings; row i (top to bottom) becomes closing t + (s - i + 1)."""
-    s, t = matrix.num_rows, matrix.num_cols
-    pairs = [
-        (j, t + (s - i + 1))
-        for i, row in enumerate(matrix.rows, start=1)
-        for j, value in enumerate(row, start=1)
-        if value
-    ]
-    return SplitGraph(Multigraph.from_pairs(t + s, pairs), t)
-
-
-def matrix_of_split_graph(split: SplitGraph) -> PatternMatrix:
-    """Inverse of :func:`split_graph_of_matrix`."""
-    t = split.openings
-    s = split.closings
-    grid = [[0] * t for _ in range(s)]
-    for u, v, _ in split.graph.edges:
-        grid[s - (v - t)][u - 1] = 1
-    return PatternMatrix(tuple(tuple(row) for row in grid))
-
-
 def parse_graph(text: str) -> Multigraph:
     """Parse the graph text format: first line ``n``, then lines ``u v m``."""
     lines = [line for line in text.splitlines() if line.strip()]
@@ -498,18 +418,3 @@ def format_graph(graph: Multigraph) -> str:
     lines = [str(graph.n)]
     lines.extend(f"{u} {v} {m}" for u, v, m in graph.edges)
     return "\n".join(lines)
-
-
-def parse_degree_sequence(text: str) -> DegreeSequence:
-    """Parse whitespace-separated ``l:r`` tokens."""
-    pairs = []
-    for token in text.split():
-        left, sep, right = token.partition(":")
-        if not sep:
-            raise ValueError(f"bad degree token (expected 'l:r'): {token!r}")
-        pairs.append((int(left), int(right)))
-    return DegreeSequence(tuple(pairs))
-
-
-def format_degree_sequence(degrees: DegreeSequence) -> str:
-    return " ".join(f"{left}:{right}" for left, right in degrees.pairs)

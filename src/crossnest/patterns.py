@@ -315,8 +315,3 @@ def parse_pattern(spec: str) -> PatternMatrix:
             raise ValueError(f"bad pattern literal: {spec!r}") from exc
         return PatternMatrix(rows)
     raise ValueError(f"unrecognized pattern spec: {spec!r}")
-
-
-def format_pattern(pattern: PatternMatrix) -> str:
-    """Render a pattern in the literal row syntax."""
-    return ";".join(",".join(str(v) for v in row) for row in pattern.rows)

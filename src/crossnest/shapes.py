@@ -44,23 +44,6 @@ class Shape:
     def num_cells(self) -> int:
         return sum(self.parts)
 
-    def col_heights(self) -> tuple[int, ...]:
-        """Conjugate partition: the height of each column."""
-        return tuple(
-            sum(1 for length in self.parts if length > j)
-            for j in range(self.num_cols)
-        )
-
-    def contains_cell(self, row: int, col: int) -> bool:
-        """Whether cell (row, col), 1-based, lies inside the diagram."""
-        return 1 <= row <= len(self.parts) and 1 <= col <= self.parts[row - 1]
-
-    def cells(self) -> Iterator[tuple[int, int]]:
-        """All cells in row-major order, 1-based."""
-        for i, length in enumerate(self.parts, start=1):
-            for j in range(1, length + 1):
-                yield (i, j)
-
 
 @dataclass(frozen=True)
 class SumProfile:

@@ -1,15 +1,19 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles and constructions used only by the tests.
 
 Each oracle deliberately takes a different route from the library code it
 checks: plain product enumeration instead of pruned search, selection
 scans instead of greedy column picking, pairwise checks instead of chain
 dynamic programming, and half-edge matchings instead of multiplicity
-assignment.
+assignment.  The constructions at the end build the split-graph patterns,
+split degree sequences and simple graphs that the tests feed the library.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
+
+from crossnest.graphs import DegreeSequence, Multigraph, SplitGraph
+from crossnest.patterns import PatternMatrix
 
 
 def compositions(total, slots):
@@ -278,3 +282,59 @@ def catalan_closed_form(n):
     from math import comb
 
     return comb(2 * n, n) // (n + 1)
+
+
+def graphs_by_size(n, m, simple):
+    """All multigraphs (or, when ``simple``, simple graphs) with n vertices
+    and m edges."""
+    all_pairs = list(combinations(range(1, n + 1), 2))
+    chooser = combinations if simple else combinations_with_replacement
+    for multiset in chooser(all_pairs, m):
+        yield Multigraph.from_pairs(n, multiset)
+
+
+def split_vertex(degrees, index):
+    """Replace entry (l, r) at 1-based ``index`` by (l, 0), (0, r)."""
+    if not 1 <= index <= degrees.n:
+        raise IndexError(f"vertex index {index} out of range")
+    left, right = degrees.pairs[index - 1]
+    return DegreeSequence(
+        degrees.pairs[: index - 1] + ((left, 0), (0, right)) + degrees.pairs[index:]
+    )
+
+
+def k_crossing_pattern(k):
+    """The split graph of k pairwise crossing edges on 2k vertices."""
+    return SplitGraph(
+        Multigraph.from_pairs(2 * k, [(i, k + i) for i in range(1, k + 1)]), k
+    )
+
+
+def k_nesting_pattern(k):
+    """The split graph of k pairwise nested edges on 2k vertices."""
+    return SplitGraph(
+        Multigraph.from_pairs(2 * k, [(i, 2 * k + 1 - i) for i in range(1, k + 1)]), k
+    )
+
+
+def split_graph_of_matrix(matrix):
+    """Split graph on [t + s] with the t columns as openings and the s rows
+    as closings; row i (top to bottom) becomes closing t + (s - i + 1)."""
+    s, t = matrix.num_rows, matrix.num_cols
+    pairs = [
+        (j, t + (s - i + 1))
+        for i, row in enumerate(matrix.rows, start=1)
+        for j, value in enumerate(row, start=1)
+        if value
+    ]
+    return SplitGraph(Multigraph.from_pairs(t + s, pairs), t)
+
+
+def matrix_of_split_graph(split):
+    """Inverse of :func:`split_graph_of_matrix`."""
+    t = split.openings
+    s = split.graph.n - t
+    grid = [[0] * t for _ in range(s)]
+    for u, v, _ in split.graph.edges:
+        grid[s - (v - t)][u - 1] = 1
+    return PatternMatrix(tuple(tuple(row) for row in grid))

@@ -1,4 +1,4 @@
-"""Graph-to-filling codecs and the occurrence frame."""
+"""Graph-to-filling codecs and the transfer move's companion cells."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from crossnest.codec import (
     b_cells_of,
     delta_decode,
     delta_encode,
-    jt_frame,
     lr_decode,
     lr_encode,
 )
@@ -222,40 +221,17 @@ class TestLrCodec:
         assert lr_decode(filling).graph.n == 0
 
 
-class TestJtFrame:
-    def test_two_by_two(self):
-        frame = jt_frame(filling_from_rows([[0, 1], [1, 0]]), 2)
-        assert frame.a_cells == ((2, 1), (1, 2))
-        assert frame.b_cells == ((1, 1), (2, 2))
-        assert frame.region_e == frozenset()
-
-    def test_absent(self):
-        assert jt_frame(filling_from_rows([[0, 0], [0, 0]]), 2) is None
-
-    def test_region_between_paths(self):
-        # Antidiagonal at cells (3,1) and (1,3): everything strictly
-        # between the two boundary paths must be empty.
-        filling = filling_from_rows([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-        frame = jt_frame(filling, 2)
-        assert frame.a_cells == ((3, 1), (1, 3))
-        assert (2, 2) in frame.region_e
-        for row, col in frame.region_e:
-            assert filling.entry(row, col) == 0
-
-    def test_region_always_empty(self):
-        for filling in small_fillings(7, 4):
-            for t in (2, 3):
-                frame = jt_frame(filling, t)
-                if frame is None:
-                    continue
-                for row, col in frame.region_e:
-                    assert filling.entry(row, col) == 0
-                # b-cells sit in the rows/columns promised by construction.
-                assert frame.b_cells == b_cells_of(frame.a_cells)
-
-    def test_order_one_rejected(self):
-        with pytest.raises(ValueError):
-            jt_frame(filling_from_rows([[1]]), 1)
+class TestCompanionCells:
+    # (r_{s+1}, c_s) for s < t, then the corner (r_1, c_t).
+    @pytest.mark.parametrize(
+        "a_cells, b_cells",
+        [
+            (((2, 1), (1, 2)), ((1, 1), (2, 2))),
+            (((5, 1), (3, 2), (1, 4)), ((3, 1), (1, 2), (5, 4))),
+        ],
+    )
+    def test_companion_cells(self, a_cells, b_cells):
+        assert b_cells_of(a_cells) == b_cells
 
 
 class TestLeftRightGraphSidesKeptOnce:

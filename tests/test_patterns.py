@@ -17,7 +17,6 @@ from crossnest.patterns import (
     f_matrix,
     first_f_occurrence,
     first_j_occurrence,
-    format_pattern,
     identity,
     m132,
     m213,
@@ -282,10 +281,6 @@ class TestParse:
     )
     def test_specs(self, spec, expected):
         assert parse_pattern(spec) == expected
-
-    def test_round_trip_literal(self):
-        pattern = f_matrix(3)
-        assert parse_pattern(format_pattern(pattern)) == pattern
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

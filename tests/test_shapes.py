@@ -59,16 +59,6 @@ class TestValidateShape:
         with pytest.raises(NotWeaklyDecreasing):
             validate_shape((1, 3, 2))
 
-    def test_col_heights(self):
-        assert Shape((3, 2)).col_heights() == (2, 2, 1)
-        assert Shape(()).col_heights() == ()
-
-    def test_contains_cell(self):
-        shape = Shape((2, 1))
-        assert shape.contains_cell(1, 2)
-        assert not shape.contains_cell(2, 2)
-        assert not shape.contains_cell(3, 1)
-
 
 class TestFilling:
     def test_dimension_mismatch_rejected(self):

@@ -11,10 +11,10 @@ import pytest
 from crossnest import _kernel, experiments
 from crossnest.codec import staircase
 from crossnest.experiments import run_experiment
-from crossnest.graphs import cross, degree_sequence, enumerate_graphs_by_size, nest
+from crossnest.graphs import cross, degree_sequence, nest
 from crossnest.patterns import antiidentity, identity, parse_pattern
 
-from oracles import brute_contains, compositions
+from oracles import brute_contains, compositions, graphs_by_size
 
 KS = (2, 3)
 
@@ -24,7 +24,7 @@ def enumerated_order_size_counts(max_n, max_m, simple):
     counts = {}
     for n in range(max_n + 1):
         for m in range(max_m + 1):
-            graphs = list(enumerate_graphs_by_size(n, m, simple=simple))
+            graphs = list(graphs_by_size(n, m, simple))
             for k in KS:
                 counts[f"n={n} m={m} k={k} noncrossing"] = sum(
                     cross(g) < k for g in graphs
@@ -42,7 +42,7 @@ def enumerated_cor3_3_counts(max_n):
     for n in range(max_n + 1):
         buckets = {}
         for m in range(n * (n - 1) // 2 + 1):
-            for graph in enumerate_graphs_by_size(n, m, simple=True):
+            for graph in graphs_by_size(n, m, simple=True):
                 lefts = tuple(left for left, _ in degree_sequence(graph).pairs)
                 buckets.setdefault(lefts, []).append(graph)
         agreeing = sum(
@@ -115,7 +115,7 @@ class TestExperimentsAgainstEnumeration:
             graphs = [
                 g
                 for m in range(max_m + 1)
-                for g in enumerate_graphs_by_size(n, m, simple=simple)
+                for g in graphs_by_size(n, m, simple)
             ]
             for k in KS:
                 expected = [Counter(), Counter()]
