@@ -37,14 +37,6 @@ from .shapes import Filling, Shape, sums_of
 Direction = Literal["forward", "backward"]
 
 
-class NoJtPresent(ValueError):
-    """The transfer move needs an antidiagonal occurrence and found none."""
-
-
-class NoFtPresent(ValueError):
-    """The inverse transfer needs an ``f_matrix`` occurrence and found none."""
-
-
 class PreconditionError(ValueError):
     """The input filling or graph contains the pattern it must avoid."""
 
@@ -65,29 +57,6 @@ def _transfer(filling: Filling, decrement, increment) -> Filling:
     if sums_of(result) != sums_of(filling):
         raise AssertionError("transfer must preserve sums")
     return result
-
-
-def phi(filling: Filling, t: int) -> Filling:
-    """One transfer step: rewrite the first antidiagonal occurrence of
-    order t into an ``f_matrix(t)`` occurrence.  Sums are preserved."""
-    if t < 2:
-        raise ValueError("order must be at least 2")
-    occ = first_j_occurrence(filling, t)
-    if occ is None:
-        raise NoJtPresent(f"no antidiagonal occurrence of order {t}")
-    cells = tuple(antidiagonal_cells(occ))
-    return _transfer(filling, cells, b_cells_of(cells))
-
-
-def psi(filling: Filling, t: int) -> Filling:
-    """Inverse transfer step: rewrite the first ``f_matrix(t)`` occurrence
-    into an antidiagonal occurrence of order t.  Sums are preserved."""
-    if t < 2:
-        raise ValueError("order must be at least 2")
-    occ = first_f_occurrence(filling, t)
-    if occ is None:
-        raise NoFtPresent(f"no f-pattern occurrence of order {t}")
-    return _transfer(filling, f_cells(occ), antidiagonal_cells(occ))
 
 
 def _avoids_above(filling: Filling, t: int, row_limit: int) -> bool:

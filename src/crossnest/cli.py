@@ -2,10 +2,11 @@
 
 Exit codes: 0 when the requested check passes (or the command is purely
 computational), 1 when a counting claim is violated, 2 on usage or format
-errors (including inputs that break a command's precondition, and inputs
-too deep for the interpreter's recursion limit), and 141
-(the shell's status for a process ended by SIGPIPE) when standard output
-is closed before everything is written, as in ``crossnest ... | head -1``.
+errors (including inputs that break a command's precondition, inputs too
+deep for the interpreter's recursion limit, and inputs too large for
+memory), and 141 (the shell's status for a process ended by SIGPIPE) when
+standard output is closed before everything is written, as in
+``crossnest ... | head -1``.
 """
 
 from __future__ import annotations
@@ -152,18 +153,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cor3_9_compares_nothing(bounds: dict) -> Optional[str]:
-    """Why ``cor3_9`` within the bounds compares nothing, or None when a
-    graph within them can contain its patterns.  Both patterns of order k
-    have 2k + 2 vertices and k + 1 edges, so no graph with fewer vertices
-    or fewer edges contains either, and every avoider count ties."""
-    declared = experiments.EXPERIMENTS["cor3_9"].bounds
-    n, m, k = (bounds.get(key, declared[key][0]) for key in ("n", "m", "k"))
-    # Unknown keys and values below their least get their own error from
-    # run_experiment.
-    if set(bounds) - set(declared) or any(
-        value < declared[key][1] for key, value in bounds.items()
-    ):
-        return None
+    """Why ``cor3_9`` within the filled-in bounds compares nothing, or None
+    when a graph within them can contain its patterns.  Both patterns of
+    order k have 2k + 2 vertices and k + 1 edges, so no graph with fewer
+    vertices or fewer edges contains either, and every avoider count ties."""
+    n, m, k = bounds["n"], bounds["m"], bounds["k"]
     if n < 2 * k + 2:
         return f"n={n} is below the {2 * k + 2} vertices of the k={k} patterns"
     if m < k + 1:
@@ -173,12 +167,13 @@ def _cor3_9_compares_nothing(bounds: dict) -> Optional[str]:
 
 def _cmd_experiment(args) -> int:
     bounds = _parse_bounds(args.bounds)
-    reason = _cor3_9_compares_nothing(bounds) if args.id == "cor3_9" else None
-    if reason:
-        raise ValueError(
-            "no graph within the bounds contains either pattern, so the "
-            "experiment would compare nothing: " + reason
-        )
+    if args.id == "cor3_9":
+        reason = _cor3_9_compares_nothing(experiments.fill_bounds(args.id, bounds))
+        if reason:
+            raise ValueError(
+                "no graph within the bounds contains either pattern, so the "
+                "experiment would compare nothing: " + reason
+            )
     report = experiments.run_experiment(args.id, bounds)
     _emit_report(report, args.format)
     return 0 if report.verdict == "pass" else CLAIM_VIOLATED
@@ -266,6 +261,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     except RecursionError as exc:
         print(f"error: input too deep to process: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        print("error: input too large to process: out of memory", file=sys.stderr)
         return USAGE_ERROR
     except BrokenPipeError:
         # The reader stopped early; that is not a usage error.  Point stdout

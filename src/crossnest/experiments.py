@@ -663,34 +663,39 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
+def fill_bounds(experiment_id: str, bounds: Optional[dict] = None) -> dict:
+    """The experiment's bounds with keys missing from ``bounds`` set to the
+    defaults ``EXPERIMENTS`` declares.  Raises ``ValueError`` for an
+    unknown experiment, a bound key the experiment does not read, or a
+    bound below its declared least value."""
+    if experiment_id not in EXPERIMENTS:
+        known = ", ".join(sorted(EXPERIMENTS))
+        raise ValueError(f"unknown experiment {experiment_id!r}; known: {known}")
+    declared = EXPERIMENTS[experiment_id].bounds
+    given = bounds or {}
+    for key, value in given.items():
+        if key not in declared:
+            known = ", ".join(sorted(declared)) or "none"
+            raise ValueError(
+                f"experiment {experiment_id} reads no bound {key!r}; known: {known}"
+            )
+        least = declared[key][1]
+        if value < least:
+            raise ValueError(f"bound {key}={value} is below its least value {least}")
+    return {key: given.get(key, default) for key, (default, _) in declared.items()}
+
+
 def run_experiment(
     experiment_id: str, bounds: Optional[dict] = None
 ) -> ExperimentReport:
     """Run a canned experiment and report counts plus a derived verdict.
 
-    Keys missing from ``bounds`` take the defaults ``EXPERIMENTS`` declares.
-    The report's ``parameters`` are the filled-in bounds and the
-    experiment's fixed constants.  Raises ``ValueError`` for an unknown
-    experiment, a bound key the experiment does not read, or a bound below
-    its declared least value.
+    The bounds are filled in and checked by :func:`fill_bounds`.  The
+    report's ``parameters`` are the filled-in bounds and the experiment's
+    fixed constants.
     """
-    if experiment_id not in EXPERIMENTS:
-        known = ", ".join(sorted(EXPERIMENTS))
-        raise ValueError(f"unknown experiment {experiment_id!r}; known: {known}")
+    filled = fill_bounds(experiment_id, bounds)
     experiment = EXPERIMENTS[experiment_id]
-    given = bounds or {}
-    for key, value in given.items():
-        if key not in experiment.bounds:
-            known = ", ".join(sorted(experiment.bounds)) or "none"
-            raise ValueError(
-                f"experiment {experiment_id} reads no bound {key!r}; known: {known}"
-            )
-        least = experiment.bounds[key][1]
-        if value < least:
-            raise ValueError(f"bound {key}={value} is below its least value {least}")
-    filled = {
-        key: given.get(key, default) for key, (default, _) in experiment.bounds.items()
-    }
     started = time.perf_counter()
     counts, failures = experiment.run(filled)
     parameters = {**filled, **deepcopy(experiment.fixed)}

@@ -15,6 +15,8 @@ are taken by the kernel's one chain scan, ``_purekern.longest_chain``.
 
 Perfect matchings are also counted without being listed, by their
 numbers of k-crossings and k-nestings: see ``matching_chain_counts``.
+``contains_subgraph`` tests a graph for a simple pattern graph by its
+edges alone, as ``cor3_9`` needs; no pattern vertex has a fixed side.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from . import _kernel
 
@@ -104,26 +106,6 @@ class DegreeSequence:
     @property
     def total_right(self) -> int:
         return sum(right for _, right in self.pairs)
-
-
-@dataclass(frozen=True)
-class SplitGraph:
-    """Simple graph whose opening vertices 1..openings all precede its
-    closing vertices, every edge joining an opening to a later closing."""
-
-    graph: Multigraph
-    openings: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.openings <= self.graph.n:
-            raise ValueError("split index out of range")
-        if not self.graph.is_simple():
-            raise ValueError("split graph patterns must be simple")
-        for u, v, _ in self.graph.edges:
-            if not (u <= self.openings < v):
-                raise ValueError(
-                    f"edge ({u}, {v}) does not go from an opening to a closing"
-                )
 
 
 def degree_sequence(graph: Multigraph) -> DegreeSequence:
@@ -340,55 +322,17 @@ def matching_chain_counts(vertices: int, k: int) -> Counter:
     return layer[()]
 
 
-def contains_subgraph(
-    graph: Multigraph,
-    pattern: "SplitGraph | Multigraph",
-    *,
-    isolated_openings: Optional[frozenset[int]] = None,
-) -> bool:
+def contains_subgraph(graph: Multigraph, pattern: Multigraph) -> bool:
     """Whether an order-preserving injection maps the simple pattern's
-    edges onto edges of ``graph``.
-
-    A bare Multigraph pattern constrains nothing beyond its edges.  A
-    SplitGraph pattern additionally fixes the side of every pattern
-    vertex, so its isolated vertices must land on vertices of ``graph``
-    able to play that side: edge degrees decide the side of non-isolated
-    vertices, and isolated vertices of ``graph`` count as both sides
-    unless ``isolated_openings`` pins their tags.  For patterns without
-    isolated vertices the side conditions are implied by the edges, so
-    the two behaviours agree.
-    """
-    if isinstance(pattern, SplitGraph):
-        h = pattern.graph
-        h_side: Optional[dict[int, bool]] = {
-            v: v <= pattern.openings for v in range(1, h.n + 1)
-        }
-    else:
-        h = pattern
-        h_side = None
-    if not h.is_simple():
+    edges onto edges of ``graph``.  Only the edges constrain the
+    injection: an isolated pattern vertex may land on any vertex."""
+    if not pattern.is_simple():
         raise ValueError("subgraph patterns must be simple")
-    if h.n > graph.n:
+    if pattern.n > graph.n:
         return False
-
-    # Only a SplitGraph pattern's sides read the degrees.
-    degrees = degree_sequence(graph).pairs if h_side is not None else ()
-
-    def can_play(vertex: int, opening: bool) -> bool:
-        left, right = degrees[vertex - 1]
-        if left == 0 and right == 0:
-            if isolated_openings is None:
-                return True
-            return (vertex in isolated_openings) == opening
-        return right > 0 if opening else left > 0
-
     have = set(graph.edge_pairs())
-    wanted = h.edge_pairs()
-    for mapping in combinations(range(1, graph.n + 1), h.n):
-        if h_side is not None and not all(
-            can_play(mapping[v - 1], h_side[v]) for v in range(1, h.n + 1)
-        ):
-            continue
+    wanted = pattern.edge_pairs()
+    for mapping in combinations(range(1, graph.n + 1), pattern.n):
         if all((mapping[u - 1], mapping[v - 1]) in have for u, v in wanted):
             return True
     return False

@@ -6,13 +6,17 @@ scans instead of greedy column picking, pairwise checks instead of chain
 dynamic programming, and half-edge matchings instead of multiplicity
 assignment.  The constructions at the end build the split-graph patterns,
 split degree sequences and simple graphs that the tests feed the library.
+``SplitGraph`` and ``split_contains`` hold the split-graph dictionary's
+side rule, which the library does not need: its one graph-containment
+caller, ``cor3_9``, tests bare patterns with ``contains_subgraph``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from crossnest.graphs import DegreeSequence, Multigraph, SplitGraph
+from crossnest.graphs import DegreeSequence, Multigraph, degree_sequence
 from crossnest.patterns import PatternMatrix
 
 
@@ -301,6 +305,61 @@ def split_vertex(degrees, index):
     return DegreeSequence(
         degrees.pairs[: index - 1] + ((left, 0), (0, right)) + degrees.pairs[index:]
     )
+
+
+@dataclass(frozen=True)
+class SplitGraph:
+    """Simple graph whose opening vertices 1..openings all precede its
+    closing vertices, every edge joining an opening to a later closing."""
+
+    graph: Multigraph
+    openings: int
+
+    def __post_init__(self):
+        if not 0 <= self.openings <= self.graph.n:
+            raise ValueError("split index out of range")
+        if not self.graph.is_simple():
+            raise ValueError("split graph patterns must be simple")
+        for u, v, _ in self.graph.edges:
+            if not (u <= self.openings < v):
+                raise ValueError(
+                    f"edge ({u}, {v}) does not go from an opening to a closing"
+                )
+
+
+def split_contains(graph, split, isolated_openings=None):
+    """Whether an order-preserving injection maps the split pattern's edges
+    onto edges of ``graph`` and each pattern vertex onto a vertex able to
+    play its side.
+
+    Edge degrees decide the side of a non-isolated vertex of ``graph``; an
+    isolated one plays both sides unless ``isolated_openings`` pins its
+    tag.  For patterns without isolated vertices the edges imply the
+    sides, so this agrees with ``contains_subgraph(graph, split.graph)``.
+    """
+    h = split.graph
+    if h.n > graph.n:
+        return False
+    degrees = degree_sequence(graph).pairs
+
+    def can_play(vertex, opening):
+        left, right = degrees[vertex - 1]
+        if left == 0 and right == 0:
+            if isolated_openings is None:
+                return True
+            return (vertex in isolated_openings) == opening
+        return right > 0 if opening else left > 0
+
+    have = set(graph.edge_pairs())
+    wanted = h.edge_pairs()
+    for mapping in combinations(range(1, graph.n + 1), h.n):
+        if not all(
+            can_play(mapping[v - 1], v <= split.openings) for v in range(1, h.n + 1)
+        ):
+            continue
+        if all((mapping[u - 1], mapping[v - 1]) in have for u, v in wanted):
+            return True
+    return False
 
 
 def k_crossing_pattern(k):

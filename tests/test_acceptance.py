@@ -21,8 +21,6 @@ from crossnest.experiments import (
 )
 from crossnest.graphs import (
     Multigraph,
-    SplitGraph,
-    contains_subgraph,
     cross,
     enumerate_graphs_by_size,
     nest,
@@ -37,7 +35,7 @@ from crossnest.patterns import (
 )
 from crossnest.shapes import Filling, enumerate_fillings
 
-from oracles import matrix_of_split_graph
+from oracles import SplitGraph, matrix_of_split_graph, split_contains
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -317,7 +315,7 @@ def test_criterion_11_containment_transport():
                 decoded = lr_decode(filling)
                 graphs_checked += 1
                 for split, matrix in patterns:
-                    if contains_subgraph(
+                    if split_contains(
                         decoded.graph,
                         split,
                         isolated_openings=decoded.isolated_openings,

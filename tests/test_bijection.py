@@ -1,5 +1,5 @@
-"""Transfer maps, the iterated algorithms, block lifting, and the
-graph-level bijection."""
+"""The iterated transfer algorithms, block lifting, and the graph-level
+bijection."""
 
 from __future__ import annotations
 
@@ -8,16 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from crossnest.bijection import (
-    NoFtPresent,
-    NoJtPresent,
     PreconditionError,
     a1,
     a2,
     graph_biject,
     it_jt_biject,
     lift_block,
-    phi,
-    psi,
 )
 from crossnest.graphs import (
     DegreeSequence,
@@ -43,37 +39,6 @@ def sweep_fillings(max_cells, max_total):
     for shape in iter_shapes(max_cells):
         for profile in iter_profiles(shape, max_total):
             yield from enumerate_fillings(shape, profile)
-
-
-class TestPhiPsi:
-    def test_phi_swaps_the_antidiagonal(self):
-        assert phi(filling_from_rows([[0, 1], [1, 0]]), 2).rows == ((1, 0), (0, 1))
-
-    def test_phi_partial_decrement(self):
-        assert phi(filling_from_rows([[0, 2], [1, 0]]), 2).rows == ((1, 1), (0, 1))
-
-    def test_psi_inverts_first_example(self):
-        assert psi(filling_from_rows([[1, 0], [0, 1]]), 2).rows == ((0, 1), (1, 0))
-
-    def test_phi_requires_occurrence(self):
-        with pytest.raises(NoJtPresent):
-            phi(filling_from_rows([[1, 0], [0, 1]]), 2)
-
-    def test_psi_requires_occurrence(self):
-        with pytest.raises(NoFtPresent):
-            psi(filling_from_rows([[0, 1], [1, 0]]), 2)
-
-    def test_order_two_minimum(self):
-        with pytest.raises(ValueError):
-            phi(filling_from_rows([[1]]), 1)
-
-    def test_sums_preserved_sweep(self):
-        for filling in sweep_fillings(6, 3):
-            for t in (2, 3):
-                if contains(filling, antiidentity(t)):
-                    assert sums_of(phi(filling, t)) == sums_of(filling)
-                if contains(filling, f_matrix(t)):
-                    assert sums_of(psi(filling, t)) == sums_of(filling)
 
 
 class TestA1A2:

@@ -101,6 +101,16 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", "--graph", str(path))
         assert code == 2
 
+    def test_too_large_input_is_usage_error(self, capsys, tmp_path):
+        # The staircase of 10**18 vertices asks for more memory than the
+        # address space holds, so the allocation fails at once on any host.
+        path = tmp_path / "graph.txt"
+        path.write_text("1000000000000000000\n1 2 1\n")
+        code, out, err = run_cli(capsys, "stats", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: input too large to process: out of memory\n"
+
 
 class TestCodecCommands:
     def test_encode_decode_delta_round_trip(self, capsys, tmp_path):

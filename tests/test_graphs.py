@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from crossnest.graphs import (
     DegreeSequence,
     Multigraph,
-    SplitGraph,
     contains_subgraph,
     cross,
     cross_weak,
@@ -30,6 +29,7 @@ from crossnest.graphs import (
 from crossnest.patterns import PatternMatrix, antiidentity, identity
 
 from oracles import (
+    SplitGraph,
     _is_crossing_set,
     _is_nesting_set,
     graphs_by_halfedge_matching,
@@ -40,6 +40,7 @@ from oracles import (
     pairwise_cross_weak,
     pairwise_nest,
     pairwise_nest_weak,
+    split_contains,
     split_graph_of_matrix,
     split_vertex,
 )
@@ -290,24 +291,24 @@ class TestMatchingChainCounts:
 class TestContainsSubgraph:
     def test_crossing_pattern_identity_injection(self):
         graph = mg(4, (1, 3), (2, 4))
-        assert contains_subgraph(graph, k_crossing_pattern(2))
+        assert contains_subgraph(graph, k_crossing_pattern(2).graph)
 
     def test_nesting_graph_lacks_crossing(self):
         graph = mg(4, (1, 4), (2, 3))
-        assert not contains_subgraph(graph, k_crossing_pattern(2))
+        assert not contains_subgraph(graph, k_crossing_pattern(2).graph)
 
     def test_single_edge_pattern(self):
         pattern = SplitGraph(mg(2, (1, 2)), 1)
-        assert contains_subgraph(mg(5, (2, 3)), pattern)
-        assert not contains_subgraph(Multigraph(5, ()), pattern)
+        assert split_contains(mg(5, (2, 3)), pattern)
+        assert not split_contains(Multigraph(5, ()), pattern)
 
     def test_pattern_statistics_transport(self):
         for graph in enumerate_graphs_by_size(5, 3):
             for k in (2, 3):
-                assert contains_subgraph(graph, k_crossing_pattern(k)) == (
+                assert contains_subgraph(graph, k_crossing_pattern(k).graph) == (
                     cross(graph) >= k
                 )
-                assert contains_subgraph(graph, k_nesting_pattern(k)) == (
+                assert contains_subgraph(graph, k_nesting_pattern(k).graph) == (
                     nest(graph) >= k
                 )
 
@@ -321,47 +322,44 @@ class TestContainsSubgraph:
         # can close edges.
         pattern = SplitGraph(Multigraph.from_pairs(3, [(1, 3)]), 1)
         two_openings = mg(3, (1, 3), (2, 3))  # middle vertex opens an edge
-        assert not contains_subgraph(two_openings, pattern)
+        assert not split_contains(two_openings, pattern)
         closing_between = mg(4, (1, 4), (1, 2))  # vertex 2 closes an edge
-        assert contains_subgraph(closing_between, pattern)
+        assert split_contains(closing_between, pattern)
 
     def test_untagged_isolated_vertex_plays_both_sides(self):
         pattern = SplitGraph(Multigraph.from_pairs(3, [(1, 3)]), 1)
         graph = mg(4, (1, 4))  # vertices 2, 3 isolated
-        assert contains_subgraph(graph, pattern)
+        assert split_contains(graph, pattern)
 
     def test_tagged_isolated_vertex_respects_tag(self):
         pattern = SplitGraph(Multigraph.from_pairs(3, [(1, 3)]), 1)
         graph = mg(3, (1, 3))  # vertex 2 isolated
-        assert contains_subgraph(
-            graph, pattern, isolated_openings=frozenset()
-        )
-        assert not contains_subgraph(
-            graph, pattern, isolated_openings=frozenset({2})
-        )
+        assert split_contains(graph, pattern, isolated_openings=frozenset())
+        assert not split_contains(graph, pattern, isolated_openings=frozenset({2}))
 
     def test_bare_multigraph_pattern_ignores_sides(self):
         # Without split structure only the edges constrain the injection.
         pattern = Multigraph.from_pairs(3, [(1, 3)])
         assert contains_subgraph(mg(3, (1, 3), (2, 3)), pattern)
 
-    def test_degrees_read_only_for_split_patterns(self, monkeypatch):
-        # Only a SplitGraph pattern's sides need the graph's degrees.
-        from crossnest import graphs
+    @pytest.mark.parametrize("k, contained", [(1, 1784), (2, 16)])
+    def test_cor3_9_patterns_need_no_side_rule(self, k, contained):
+        # cor3_9's patterns have no isolated vertex, so their edges fix
+        # every side and the side rule can change no answer.  Checked over
+        # every graph within the census bounds of the benchmark.
+        from crossnest.experiments import _kh_patterns
 
-        calls = []
-
-        def counted(graph):
-            calls.append(graph)
-            return degree_sequence(graph)
-
-        monkeypatch.setattr(graphs, "degree_sequence", counted)
-        graph = mg(4, (1, 3), (2, 4))
-        assert contains_subgraph(graph, Multigraph.from_pairs(2, [(1, 2)]))
-        assert not contains_subgraph(graph, Multigraph.from_pairs(4, [(1, 4), (2, 3)]))
-        assert calls == []
-        assert contains_subgraph(graph, k_crossing_pattern(2))
-        assert calls == [graph]
+        checks = hits = 0
+        for pattern in _kh_patterns(k):
+            split = SplitGraph(pattern, k + 1)
+            for n in range(8):
+                for m in range(4):
+                    for graph in enumerate_graphs_by_size(n, m):
+                        found = contains_subgraph(graph, pattern)
+                        assert found == split_contains(graph, split), graph
+                        checks += 1
+                        hits += found
+        assert (checks, hits) == (6472, contained)
 
 
 class TestSplitGraphDictionary:
