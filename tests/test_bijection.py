@@ -1,5 +1,5 @@
-"""The iterated transfer algorithms, block lifting, and the graph-level
-bijection."""
+"""The transfer step, the iterated algorithms, block lifting, and the
+graph-level bijection."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crossnest.bijection import (
     PreconditionError,
+    _transfer,
     a1,
     a2,
     graph_biject,
@@ -23,7 +24,17 @@ from crossnest.graphs import (
     enumerate_graphs,
     nest,
 )
-from crossnest.patterns import antiidentity, contains, f_matrix, identity
+from crossnest.codec import b_cells_of
+from crossnest.patterns import (
+    antidiagonal_cells,
+    antiidentity,
+    contains,
+    f_cells,
+    f_matrix,
+    first_f_occurrence,
+    first_j_occurrence,
+    identity,
+)
 from crossnest.shapes import enumerate_fillings, filling_from_rows, sums_of
 
 from oracles import brute_contains
@@ -39,6 +50,57 @@ def sweep_fillings(max_cells, max_total):
     for shape in iter_shapes(max_cells):
         for profile in iter_profiles(shape, max_total):
             yield from enumerate_fillings(shape, profile)
+
+
+def phi(filling, t):
+    """One step of ``a1``: move the first order-t antidiagonal occurrence
+    onto its companion cells."""
+    cells = tuple(antidiagonal_cells(first_j_occurrence(filling, t)))
+    return _transfer(filling, cells, b_cells_of(cells))
+
+
+def psi(filling, t):
+    """One step of ``a2``: move the first ``f_matrix(t)`` occurrence back
+    onto its antidiagonal."""
+    occ = first_f_occurrence(filling, t)
+    return _transfer(filling, f_cells(occ), antidiagonal_cells(occ))
+
+
+class TestPhiPsi:
+    # The single transfer step, built from the same calls a1 and a2 make.
+    def test_phi_swaps_the_antidiagonal(self):
+        assert phi(filling_from_rows([[0, 1], [1, 0]]), 2).rows == ((1, 0), (0, 1))
+
+    def test_phi_partial_decrement(self):
+        assert phi(filling_from_rows([[0, 2], [1, 0]]), 2).rows == ((1, 1), (0, 1))
+
+    def test_psi_inverts_first_example(self):
+        assert psi(filling_from_rows([[1, 0], [0, 1]]), 2).rows == ((0, 1), (1, 0))
+
+    def test_phi_requires_occurrence(self):
+        # a1 stops where the finder reports no antidiagonal occurrence.
+        filling = filling_from_rows([[1, 0], [0, 1]])
+        assert first_j_occurrence(filling, 2) is None
+        assert a1(psi(filling, 2), 2) == filling
+
+    def test_psi_requires_occurrence(self):
+        # a2 stops where the finder reports no f-pattern occurrence.
+        filling = filling_from_rows([[0, 1], [1, 0]])
+        assert first_f_occurrence(filling, 2) is None
+        assert a2(phi(filling, 2), 2) == filling
+
+    def test_order_two_minimum(self):
+        for run in (a1, a2):
+            with pytest.raises(ValueError, match="at least 2"):
+                run(filling_from_rows([[1]]), 1)
+
+    def test_sums_preserved_sweep(self):
+        for filling in sweep_fillings(6, 3):
+            for t in (2, 3):
+                if contains(filling, antiidentity(t)):
+                    assert sums_of(phi(filling, t)) == sums_of(filling)
+                if contains(filling, f_matrix(t)):
+                    assert sums_of(psi(filling, t)) == sums_of(filling)
 
 
 class TestA1A2:

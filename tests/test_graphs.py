@@ -342,6 +342,28 @@ class TestContainsSubgraph:
         pattern = Multigraph.from_pairs(3, [(1, 3)])
         assert contains_subgraph(mg(3, (1, 3), (2, 3)), pattern)
 
+    def test_degrees_read_only_for_split_patterns(self, monkeypatch):
+        # Only a split pattern's sides need the graph's degrees, and only
+        # the split-graph oracle reads them; the library never does.
+        import oracles
+        from crossnest import graphs
+
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return degree_sequence(graph)
+
+        monkeypatch.setattr(graphs, "degree_sequence", counted)
+        monkeypatch.setattr(oracles, "degree_sequence", counted)
+        graph = mg(4, (1, 3), (2, 4))
+        assert contains_subgraph(graph, Multigraph.from_pairs(2, [(1, 2)]))
+        assert not contains_subgraph(graph, Multigraph.from_pairs(4, [(1, 4), (2, 3)]))
+        assert contains_subgraph(graph, k_crossing_pattern(2).graph)
+        assert calls == []
+        assert split_contains(graph, k_crossing_pattern(2))
+        assert calls == [graph]
+
     @pytest.mark.parametrize("k, contained", [(1, 1784), (2, 16)])
     def test_cor3_9_patterns_need_no_side_rule(self, k, contained):
         # cor3_9's patterns have no isolated vertex, so their edges fix
