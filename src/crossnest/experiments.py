@@ -4,18 +4,18 @@ Each experiment is a self-contained check of one counting identity,
 declared once in ``EXPERIMENTS``: the bound keys it reads, with a default
 and a least value for each, the constants it fixes, and a function from
 the filled-in bounds to its counts and failures.  The graph counts of
-``cor2_2``, ``cor2_6`` and ``cor3_3`` are avoider counts of staircase
-fillings under ``codec.delta_encode``, taken by the kernel's row-sum
+``cor2_2``, ``cor2_6``, ``cor3_3`` and ``cor3_9`` are avoider counts of
+staircase fillings under ``codec.delta_encode``, taken by the kernel's
 transfer without listing a graph.  ``noy_matchings`` and ``catalan``
 count perfect matchings by their k-crossings and k-nestings in one
 layered pass over the open arcs, ``graphs.matching_chain_counts``, and
 list no matching either.  The equirestrictive sweep lists only the
 fillings on the supports where the two patterns disagree, found by the
 kernel's support walk, and buckets them by prescription with a sign.
-``cor2_4``, ``thm3_5``, ``cor3_9`` and ``counterexample_simple`` list
-their graphs outright.  The bijection-backed experiment additionally
-verifies the map itself: images must land in the target set, be
-distinct, invert, and cover everything.
+``cor2_4``, ``thm3_5`` and ``counterexample_simple`` list their graphs
+outright.  The bijection-backed experiment additionally verifies the map
+itself: images must land in the target set, be distinct, invert, and
+cover everything.
 """
 
 from __future__ import annotations
@@ -35,22 +35,20 @@ from . import _kernel
 from .bijection import graph_biject
 from .graphs import (
     DegreeSequence,
-    Multigraph,
     cross,
     cross_weak,
-    degree_sequence,
     enumerate_graphs,
     enumerate_graphs_by_size,
-    # Not called here.  It stays bound because perfbench's tracer replaces
-    # this name in this module's namespace, and fails where it is missing.
-    enumerate_perfect_matchings,  # noqa: F401
-    is_feasible,
     matching_chain_counts,
     nest,
     nest_weak,
     staircase,
 )
-from .patterns import PatternMatrix, antiidentity, identity, m132, m213
+
+# Not called here.  They stay bound because perfbench's tracer replaces
+# these names in this module's namespace, and fails where one is missing.
+from .graphs import degree_sequence, enumerate_perfect_matchings  # noqa: F401
+from .patterns import PatternMatrix, antiidentity, f_matrix, identity, m132, m213
 from .shapes import Shape, SumProfile, check_profile
 
 
@@ -418,11 +416,25 @@ def _exp_cor3_3(bounds: dict) -> tuple[dict[str, int], list[str]]:
     return counts, failures
 
 
-def _iter_degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
-    for m in range(max_edges + 1):
-        for lefts in compositions(m, n):
-            for rights in compositions(m, n):
-                yield DegreeSequence(tuple(zip(lefts, rights)))
+def _degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
+    """The feasible left-right degree sequences on n vertices with at most
+    ``max_edges`` edges, in lexicographic order of ``pairs``.  They are
+    built vertex by vertex under ``is_feasible``'s prefix condition, and
+    the last vertex closes the shortfall of left degrees, so no branch of
+    the search ends without a sequence."""
+
+    def extend(pairs: tuple, lefts: int, rights: int) -> Iterator[tuple]:
+        if len(pairs) == n - 1:
+            yield pairs + ((rights - lefts, 0),)
+            return
+        for left in range(rights - lefts + 1):
+            for right in range(max_edges - rights + 1):
+                yield from extend(
+                    pairs + ((left, right),), lefts + left, rights + right
+                )
+
+    for pairs in extend((), 0, 0) if n else [()]:
+        yield DegreeSequence(pairs)
 
 
 def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
@@ -443,9 +455,7 @@ def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
     counts = {"sequences": 0, "graphs": 0, "bijected": 0}
     failures: list[str] = []
     for n in range(bounds["n"] + 1):
-        for degrees in _iter_degree_sequences(n, bounds["total_degree"] // 2):
-            if not is_feasible(degrees):
-                continue
+        for degrees in _degree_sequences(n, bounds["total_degree"] // 2):
             counts["sequences"] += 1
             nonnesting = []
             noncrossing = set()
@@ -482,41 +492,42 @@ def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
     return counts, failures
 
 
-def _kh_patterns(k: int) -> tuple[Multigraph, Multigraph]:
-    """The crossing-over-an-edge and nesting-over-an-edge patterns: k
-    mutually crossing (resp. nested) edges around an isolated middle edge."""
-    h = 2
-    crossing = [(i, k + h + i) for i in range(1, k + 1)]
-    nesting = [(i, 2 * k + h + 1 - i) for i in range(1, k + 1)]
-    middle = [(k + 1, k + 2)]
-    return (
-        Multigraph.from_pairs(2 * k + h, crossing + middle),
-        Multigraph.from_pairs(2 * k + h, nesting + middle),
-    )
-
-
 def _exp_cor3_9(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Avoider counts per degree sequence agree for a crossing over an
-    extra edge versus a nesting over an extra edge."""
-    from .graphs import contains_subgraph
+    extra edge versus a nesting over an extra edge.
 
-    pattern_x, pattern_y = _kh_patterns(bounds["k"])
+    Both patterns put every opener before every closer, so under
+    ``codec.delta_encode`` they are ``f_matrix(k + 1)`` and
+    ``identity(k + 1)`` on the staircase.  Isolated vertices are zero rows
+    and columns, so a sequence counts as its core, its pairs other than
+    (0, 0), and each core is counted once.  The graphs with m edges are
+    the multisets of m vertex pairs.
+    """
+    k = bounds["k"]
+    crossing, nesting = f_matrix(k + 1).rows, identity(k + 1).rows
+    by_core: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
     counts: dict[str, int] = {"sequences": 0, "graphs": 0}
     failures: list[str] = []
     for n in range(bounds["n"] + 1):
-        per_degrees: dict[tuple, list[int]] = {}
-        for m in range(bounds["m"] + 1):
-            for graph in enumerate_graphs_by_size(n, m):
-                counts["graphs"] += 1
-                tally = per_degrees.setdefault(
-                    degree_sequence(graph).pairs, [0, 0]
+        counts["graphs"] += sum(
+            _count_compositions(m, comb(n, 2)) for m in range(bounds["m"] + 1)
+        )
+        for degrees in _degree_sequences(n, bounds["m"]):
+            counts["sequences"] += 1
+            core = tuple(pair for pair in degrees.pairs if pair != (0, 0))
+            if core not in by_core:
+                # Row sums are the left degrees of the core's vertices c..2,
+                # column sums the right degrees of its vertices 1..c-1.
+                parts = staircase(len(core))
+                rows = tuple(left for left, _ in reversed(core[1:]))
+                cols = tuple(right for _, right in core[:-1])
+                by_core[core] = (
+                    _kernel.count_avoiders(parts, rows, cols, crossing),
+                    _kernel.count_avoiders(parts, rows, cols, nesting),
                 )
-                tally[0] += not contains_subgraph(graph, pattern_x)
-                tally[1] += not contains_subgraph(graph, pattern_y)
-        counts["sequences"] += len(per_degrees)
-        for pairs, (avoid_x, avoid_y) in sorted(per_degrees.items()):
+            avoid_x, avoid_y = by_core[core]
             if avoid_x != avoid_y:
-                failures.append(f"n={n} D={pairs}: {avoid_x} != {avoid_y}")
+                failures.append(f"n={n} D={degrees.pairs}: {avoid_x} != {avoid_y}")
     return counts, failures
 
 

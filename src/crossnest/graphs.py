@@ -16,7 +16,7 @@ are taken by the kernel's one chain scan, ``_purekern.longest_chain``.
 Perfect matchings are also counted without being listed, by their
 numbers of k-crossings and k-nestings: see ``matching_chain_counts``.
 ``contains_subgraph`` tests a graph for a simple pattern graph by its
-edges alone, as ``cor3_9`` needs; no pattern vertex has a fixed side.
+edges alone; no pattern vertex has a fixed side.
 """
 
 from __future__ import annotations
@@ -150,9 +150,10 @@ def staircase_cells(graph: Multigraph) -> list[tuple[int, int, int]]:
 
 
 def _chain(graph: Multigraph, anti: bool, weak: bool) -> int:
-    """Longest chain of the graph's staircase filling."""
+    """Longest chain of the graph's staircase filling.  The scan reads only
+    the rows that hold an edge, so the staircase is passed as a range."""
     return _kernel.longest_chain(
-        staircase(graph.n), staircase_cells(graph), anti=anti, weak=weak
+        range(graph.n - 1, 0, -1), staircase_cells(graph), anti=anti, weak=weak
     )
 
 

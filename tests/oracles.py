@@ -4,11 +4,14 @@ Each oracle deliberately takes a different route from the library code it
 checks: plain product enumeration instead of pruned search, selection
 scans instead of greedy column picking, pairwise checks instead of chain
 dynamic programming, and half-edge matchings instead of multiplicity
-assignment.  The constructions at the end build the split-graph patterns,
-split degree sequences and simple graphs that the tests feed the library.
-``SplitGraph`` and ``split_contains`` hold the split-graph dictionary's
-side rule, which the library does not need: its one graph-containment
-caller, ``cor3_9``, tests bare patterns with ``contains_subgraph``.
+assignment.  ``cor3_9_by_listing`` takes ``cor3_9``'s counts by listing
+every graph and testing it for both patterns with ``contains_subgraph``
+instead of counting staircase fillings.  The constructions at the end build the
+split-graph patterns, split degree sequences and simple graphs that the
+tests feed the library.  ``SplitGraph`` and ``split_contains`` hold the
+split-graph dictionary's side rule, which the library does not need:
+``cor3_9``'s patterns, ``kh_patterns``, have no isolated vertex, so their
+edges fix every side.
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from crossnest.graphs import DegreeSequence, Multigraph, degree_sequence
+from crossnest.graphs import (
+    DegreeSequence,
+    Multigraph,
+    contains_subgraph,
+    degree_sequence,
+    enumerate_graphs_by_size,
+)
 from crossnest.patterns import PatternMatrix
 
 
@@ -297,6 +306,28 @@ def graphs_by_size(n, m, simple):
         yield Multigraph.from_pairs(n, multiset)
 
 
+def cor3_9_by_listing(bounds, patterns=None):
+    """``cor3_9``'s ``(counts, failures)`` from every graph within the
+    bounds, tallied per degree sequence by ``contains_subgraph``, for
+    ``kh_patterns(k)`` or the two given pattern graphs."""
+    pattern_x, pattern_y = patterns or kh_patterns(bounds["k"])
+    counts = {"sequences": 0, "graphs": 0}
+    failures = []
+    for n in range(bounds["n"] + 1):
+        per_degrees = {}
+        for m in range(bounds["m"] + 1):
+            for graph in enumerate_graphs_by_size(n, m):
+                counts["graphs"] += 1
+                tally = per_degrees.setdefault(degree_sequence(graph).pairs, [0, 0])
+                tally[0] += not contains_subgraph(graph, pattern_x)
+                tally[1] += not contains_subgraph(graph, pattern_y)
+        counts["sequences"] += len(per_degrees)
+        for pairs, (avoid_x, avoid_y) in sorted(per_degrees.items()):
+            if avoid_x != avoid_y:
+                failures.append(f"n={n} D={pairs}: {avoid_x} != {avoid_y}")
+    return counts, failures
+
+
 def split_vertex(degrees, index):
     """Replace entry (l, r) at 1-based ``index`` by (l, 0), (0, r)."""
     if not 1 <= index <= degrees.n:
@@ -373,6 +404,20 @@ def k_nesting_pattern(k):
     """The split graph of k pairwise nested edges on 2k vertices."""
     return SplitGraph(
         Multigraph.from_pairs(2 * k, [(i, 2 * k + 1 - i) for i in range(1, k + 1)]), k
+    )
+
+
+def kh_patterns(k):
+    """``cor3_9``'s crossing-over-an-edge and nesting-over-an-edge
+    patterns: k mutually crossing (resp. nested) edges around an isolated
+    middle edge."""
+    h = 2
+    crossing = [(i, k + h + i) for i in range(1, k + 1)]
+    nesting = [(i, 2 * k + h + 1 - i) for i in range(1, k + 1)]
+    middle = [(k + 1, k + 2)]
+    return (
+        Multigraph.from_pairs(2 * k + h, crossing + middle),
+        Multigraph.from_pairs(2 * k + h, nesting + middle),
     )
 
 

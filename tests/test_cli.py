@@ -101,12 +101,25 @@ class TestStats:
         code, _, err = run_cli(capsys, "stats", "--graph", str(path))
         assert code == 2
 
-    def test_too_large_input_is_usage_error(self, capsys, tmp_path):
-        # The staircase of 10**18 vertices asks for more memory than the
-        # address space holds, so the allocation fails at once on any host.
+    def test_statistics_cost_edges_not_vertices(self, capsys, tmp_path):
+        # The chain scan reads only the rows that hold an edge, so one edge
+        # on 10**18 vertices asks for no per-vertex memory.
         path = tmp_path / "graph.txt"
         path.write_text("1000000000000000000\n1 2 1\n")
-        code, out, err = run_cli(capsys, "stats", "--graph", str(path))
+        code, out, _ = run_cli(capsys, "stats", "--graph", str(path))
+        assert code == 0
+        lines = dict(line.split() for line in out.strip().splitlines())
+        assert lines == {"cross": "1", "nest": "1", "cross*": "1", "nest*": "1"}
+
+    def test_too_large_input_is_usage_error(self, capsys, tmp_path):
+        # The delta encoding of 10**18 vertices prints a staircase of
+        # 10**18 - 1 rows, which asks for more memory than the address space
+        # holds, so the allocation fails at once on any host.
+        path = tmp_path / "graph.txt"
+        path.write_text("1000000000000000000\n1 2 1\n")
+        code, out, err = run_cli(
+            capsys, "encode", "--mode", "delta", "-i", str(path)
+        )
         assert code == 2
         assert out == ""
         assert err == "error: input too large to process: out of memory\n"

@@ -25,6 +25,7 @@ from crossnest.experiments import (
     run_experiment,
     verify_equirestrictive,
 )
+from crossnest.graphs import DegreeSequence, is_feasible
 from crossnest.patterns import antiidentity, identity, parse_pattern
 from crossnest.shapes import Shape, SumProfile
 
@@ -33,7 +34,11 @@ from oracles import (
     brute_contains,
     brute_fillings,
     catalan_closed_form,
+    compositions as listed_compositions,
+    cor3_9_by_listing,
     fillings_within,
+    k_nesting_pattern,
+    kh_patterns,
 )
 
 
@@ -635,6 +640,79 @@ class TestCannedExperiments:
 
     def test_catalan_recurrence_values(self):
         assert catalan_numbers(6) == [1, 1, 2, 5, 14, 42, 132]
+
+
+def feasible_by_listing(n, max_edges):
+    """The feasible sequences among all pairs of compositions, sorted."""
+    found = []
+    for edges in range(max_edges + 1):
+        for lefts in listed_compositions(edges, n):
+            for rights in listed_compositions(edges, n):
+                degrees = DegreeSequence(tuple(zip(lefts, rights)))
+                if is_feasible(degrees):
+                    found.append(degrees.pairs)
+    return sorted(found)
+
+
+class TestDegreeSequences:
+    @pytest.mark.parametrize("n", range(7))
+    def test_feasible_sequences_in_pairs_order(self, n):
+        for max_edges in range(5):
+            built = [d.pairs for d in experiments._degree_sequences(n, max_edges)]
+            assert built == feasible_by_listing(n, max_edges)
+
+
+class TestCor3_9ByStaircase:
+    # n <= 7, m <= 3 are the census bounds of the benchmark.
+    @pytest.mark.parametrize("k, max_n", [(1, 6), (2, 7)])
+    def test_equals_listing_oracle(self, k, max_n):
+        for n in range(max_n + 1):
+            for m in range(4):
+                bounds = {"n": n, "m": m, "k": k}
+                assert experiments._exp_cor3_9(bounds) == cor3_9_by_listing(bounds)
+
+    def test_counts_per_sequence_equal_listing_oracle(self, monkeypatch):
+        # cor3_9's patterns tie on every sequence, so its report shows none
+        # of their counts.  With I_k, the k-nesting, in place of F_{k+1}
+        # they split, and each failure line shows both counts of a sequence.
+        k = 2
+        monkeypatch.setattr(experiments, "f_matrix", lambda t: identity(t - 1))
+        patterns = (k_nesting_pattern(k).graph, kh_patterns(k)[1])
+        for n in range(7):
+            bounds = {"n": n, "m": 3, "k": k}
+            counts, failures = experiments._exp_cor3_9(bounds)
+            assert (counts, failures) == cor3_9_by_listing(bounds, patterns)
+        # The sequences on 6 vertices whose two counts split.
+        assert len(failures) == 214
+
+    def test_split_core_fails_once_per_sequence(self, monkeypatch):
+        # One nesting avoider too many for the core with lefts (0, 1, 1)
+        # and rights (1, 1, 0), whose one graph is the path 1-2-3: every
+        # sequence with that core fails, each in its own line.
+        core = ((0, 1), (1, 1), (1, 0))
+        real = _kernel.count_avoiders
+
+        def split(parts, row_sums, col_sums, pat):
+            count = real(parts, row_sums, col_sums, pat)
+            moved = (tuple(parts), row_sums, col_sums, pat) == (
+                (2, 1), (1, 1), (1, 1), identity(3).rows
+            )
+            return count + moved
+
+        monkeypatch.setattr(_kernel, "count_avoiders", split)
+        report = run_experiment("cor3_9", {"n": 5, "m": 2, "k": 2})
+        expected = []
+        for n in range(3, 6):
+            sequences = []
+            for places in combinations(range(n), 3):
+                pairs = [(0, 0)] * n
+                for place, pair in zip(places, core):
+                    pairs[place] = pair
+                sequences.append(tuple(pairs))
+            expected += [f"n={n} D={pairs}: 1 != 2" for pairs in sorted(sequences)]
+        assert len(expected) == 1 + 4 + 10
+        assert report.failures == tuple(expected)
+        assert report.counts["violations"] == len(expected)
 
 
 class TestPatternSpecIntegration:

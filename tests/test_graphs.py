@@ -35,6 +35,7 @@ from oracles import (
     graphs_by_halfedge_matching,
     k_crossing_pattern,
     k_nesting_pattern,
+    kh_patterns,
     matrix_of_split_graph,
     pairwise_cross,
     pairwise_cross_weak,
@@ -369,10 +370,9 @@ class TestContainsSubgraph:
         # cor3_9's patterns have no isolated vertex, so their edges fix
         # every side and the side rule can change no answer.  Checked over
         # every graph within the census bounds of the benchmark.
-        from crossnest.experiments import _kh_patterns
 
         checks = hits = 0
-        for pattern in _kh_patterns(k):
+        for pattern in kh_patterns(k):
             split = SplitGraph(pattern, k + 1)
             for n in range(8):
                 for m in range(4):
@@ -416,10 +416,9 @@ class TestSplitGraphDictionary:
         # matrix of H.  With H a single edge these are cor3_9's patterns,
         # and their matrices are the staircase pattern of the avoidance
         # bijection and the identity, both of order k + 1.
-        from crossnest.experiments import _kh_patterns
         from crossnest.patterns import block_diag, f_matrix
 
-        crossing, nesting = (SplitGraph(p, k + 1) for p in _kh_patterns(k))
+        crossing, nesting = (SplitGraph(p, k + 1) for p in kh_patterns(k))
         edge_matrix = matrix_of_split_graph(SplitGraph(mg(2, (1, 2)), 1))
         assert matrix_of_split_graph(crossing) == block_diag(
             antiidentity(k), edge_matrix

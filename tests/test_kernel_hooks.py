@@ -36,6 +36,7 @@ def test_kernel_reexports_pure_kernel(name):
         (bijection, "antiidentity"),
         (bijection, "f_matrix"),
         (bijection, "contains"),
+        (experiments, "degree_sequence"),
         (experiments, "enumerate_perfect_matchings"),
         (experiments, "enumerate_graphs"),
         (experiments, "enumerate_graphs_by_size"),
