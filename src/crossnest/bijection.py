@@ -7,15 +7,25 @@ and column sums are untouched.  Iterating the move (and its inverse) maps
 fillings avoiding the staircase pattern ``f_matrix(t)`` onto fillings
 avoiding the antidiagonal of order t, and a block-lifting construction
 turns that into the identity-vs-antidiagonal bijection of any order.
-Composed with the graph codecs this exchanges maximal crossing and nesting
-orders while fixing the whole left-right degree sequence.
+Composed with the staircase codec on a graph's core (its vertices that
+carry an edge) this exchanges maximal crossing and nesting orders while
+fixing the whole left-right degree sequence.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Literal
 
-from .codec import b_cells_of, lr_decode, lr_encode, split_two_sided
+# ``lr_encode`` and ``lr_decode`` are not called here.  They stay bound
+# because perfbench's tracer times the left-right codec by replacing these
+# names in this module's namespace.
+from .codec import (  # noqa: F401
+    b_cells_of,
+    delta_decode,
+    delta_encode,
+    lr_decode,
+    lr_encode,
+)
 from .graphs import Multigraph, cross, degree_sequence, nest
 # ``identity`` and ``f_matrix`` are not called here.  They stay bound, like
 # ``antiidentity``, because perfbench's tracer counts pattern builds by
@@ -225,9 +235,12 @@ def graph_biject(graph: Multigraph, k: int, direction: Direction) -> Multigraph:
 
     Forward maps a graph with nesting order below k to one with crossing
     order below k and the exact same left-right degree sequence; backward
-    is the inverse.  The map splits every two-sided vertex, encodes the
-    resulting left-right graph as a filling, applies the filling bijection
-    and decodes back.
+    is the inverse.  Isolated vertices carry no edge, so the map runs on
+    the core, the vertices with an edge relabelled 1..c in order: it
+    encodes the core by :func:`codec.delta_encode`, where nestings are
+    identity chains and crossings antidiagonal ones, applies the filling
+    bijection, decodes, and puts the labels back.  It costs edges, not
+    vertices.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -239,16 +252,17 @@ def graph_biject(graph: Multigraph, k: int, direction: Direction) -> Multigraph:
         raise PreconditionError(f"input has {k} pairwise crossing edges")
     if graph.edge_count == 0:
         return graph
-    lrg, origin = split_two_sided(graph)
-    encoded = lr_encode(lrg)
-    rewritten = it_jt_biject(encoded, k, direction)
-    decoded = lr_decode(rewritten)
-    if decoded.graph.n != len(origin):
-        raise AssertionError("decode changed the vertex line")
-    merged = Multigraph.from_pairs(
-        graph.n,
-        [(origin[u - 1], origin[v - 1], mult) for u, v, mult in decoded.graph.edges],
+    ends = sorted({vertex for u, v, _ in graph.edges for vertex in (u, v)})
+    label = {vertex: i for i, vertex in enumerate(ends, start=1)}
+    core = Multigraph.from_pairs(
+        len(ends), [(label[u], label[v], mult) for u, v, mult in graph.edges]
     )
-    if degree_sequence(merged) != degree_sequence(graph):
+    rewritten = it_jt_biject(delta_encode(core), k, direction)
+    image = delta_decode(rewritten, len(ends))
+    # The relabelling is one injection both ways, so comparing the cores'
+    # degrees is comparing the graphs'.
+    if degree_sequence(image) != degree_sequence(core):
         raise AssertionError("bijection must preserve the degree sequence")
-    return merged
+    return Multigraph.from_pairs(
+        graph.n, [(ends[u - 1], ends[v - 1], mult) for u, v, mult in image.edges]
+    )

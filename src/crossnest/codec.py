@@ -80,7 +80,7 @@ class LeftRightGraph:
 
 def tag_isolated(graph: Multigraph) -> LeftRightGraph:
     """The left-right graph of a graph with no two-sided vertex, its
-    isolated vertices tagged by the package's one tag rule.
+    isolated vertices tagged by the rule that ``encode --mode lr`` uses.
 
     An isolated vertex opens when it comes before the later of the last
     closing vertex (one with left edges) and the last isolated vertex;
@@ -94,32 +94,6 @@ def tag_isolated(graph: Multigraph) -> LeftRightGraph:
     last_closing = max((v for _, v, _ in graph.edges), default=0)
     boundary = max([last_closing, *isolated])
     return LeftRightGraph(graph, frozenset(v for v in isolated if v < boundary))
-
-
-def split_two_sided(graph: Multigraph) -> tuple[LeftRightGraph, list[int]]:
-    """Split every two-sided vertex into a closing half followed by an
-    opening half, and tag the isolated vertices by :func:`tag_isolated`.
-
-    Returns the left-right graph and the original vertex of each of its
-    vertices.
-    """
-    origin: list[int] = []
-    open_pos: dict[int, int] = {}
-    close_pos: dict[int, int] = {}
-    opens = {u for u, _, _ in graph.edges}
-    closes = {v for _, v, _ in graph.edges}
-    for vertex in range(1, graph.n + 1):
-        left, right = vertex in closes, vertex in opens
-        if left:
-            origin.append(vertex)
-            close_pos[vertex] = len(origin)
-        if right:
-            origin.append(vertex)
-            open_pos[vertex] = len(origin)
-        if not left and not right:
-            origin.append(vertex)
-    pairs = [(open_pos[u], close_pos[v], mult) for u, v, mult in graph.edges]
-    return tag_isolated(Multigraph.from_pairs(len(origin), pairs)), origin
 
 
 def delta_encode(graph: Multigraph) -> Filling:

@@ -6,7 +6,10 @@ scans instead of greedy column picking, pairwise checks instead of chain
 dynamic programming, and half-edge matchings instead of multiplicity
 assignment.  ``cor3_9_by_listing`` takes ``cor3_9``'s counts by listing
 every graph and testing it for both patterns with ``contains_subgraph``
-instead of counting staircase fillings.  The constructions at the end build the
+instead of counting staircase fillings.  ``split_graph_biject`` maps a
+graph through the shape-carrying codec, every two-sided vertex split into
+a closing and an opening half, instead of through the staircase codec on
+the graph's core.  The constructions at the end build the
 split-graph patterns, split degree sequences and simple graphs that the
 tests feed the library.  ``SplitGraph`` and ``split_contains`` hold the
 split-graph dictionary's side rule, which the library does not need:
@@ -19,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
+from crossnest.bijection import it_jt_biject
+from crossnest.codec import lr_decode, lr_encode, tag_isolated
 from crossnest.graphs import (
     DegreeSequence,
     Multigraph,
@@ -326,6 +331,47 @@ def cor3_9_by_listing(bounds, patterns=None):
             if avoid_x != avoid_y:
                 failures.append(f"n={n} D={pairs}: {avoid_x} != {avoid_y}")
     return counts, failures
+
+
+def split_two_sided(graph):
+    """Split every two-sided vertex into a closing half followed by an
+    opening half, and tag the isolated vertices by ``tag_isolated``.
+
+    Returns the left-right graph and the original vertex of each of its
+    vertices.
+    """
+    origin = []
+    open_pos = {}
+    close_pos = {}
+    opens = {u for u, _, _ in graph.edges}
+    closes = {v for _, v, _ in graph.edges}
+    for vertex in range(1, graph.n + 1):
+        left, right = vertex in closes, vertex in opens
+        if left:
+            origin.append(vertex)
+            close_pos[vertex] = len(origin)
+        if right:
+            origin.append(vertex)
+            open_pos[vertex] = len(origin)
+        if not left and not right:
+            origin.append(vertex)
+    pairs = [(open_pos[u], close_pos[v], mult) for u, v, mult in graph.edges]
+    return tag_isolated(Multigraph.from_pairs(len(origin), pairs)), origin
+
+
+def split_graph_biject(graph, k, direction):
+    """``graph_biject``'s image by the split route: split the two-sided
+    vertices, encode the left-right graph by ``lr_encode``, run
+    ``it_jt_biject``, decode, and merge the halves back.  Assumes the
+    input meets ``graph_biject``'s precondition."""
+    if graph.edge_count == 0:
+        return graph
+    lrg, origin = split_two_sided(graph)
+    decoded = lr_decode(it_jt_biject(lr_encode(lrg), k, direction))
+    return Multigraph.from_pairs(
+        graph.n,
+        [(origin[u - 1], origin[v - 1], mult) for u, v, mult in decoded.graph.edges],
+    )
 
 
 def split_vertex(degrees, index):

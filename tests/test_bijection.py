@@ -22,6 +22,7 @@ from crossnest.graphs import (
     cross,
     degree_sequence,
     enumerate_graphs,
+    enumerate_graphs_by_size,
     nest,
 )
 from crossnest.codec import b_cells_of
@@ -37,7 +38,7 @@ from crossnest.patterns import (
 )
 from crossnest.shapes import enumerate_fillings, filling_from_rows, sums_of
 
-from oracles import brute_contains
+from oracles import brute_contains, split_graph_biject
 
 
 def mg(n, *pairs):
@@ -337,17 +338,18 @@ class TestGraphBiject:
         assert degree_sequence(out) == degree_sequence(graph)
 
     def test_trailing_isolated_vertices(self):
-        # Fixed images: the tag rule opens every isolated vertex but the
-        # last, so a trailing pair is tagged opening then closing.
+        # Fixed images: a trailing pair of isolated vertices stays in place
+        # and leaves the image of the vertices before it unchanged.
         crossing = mg(6, (1, 3), (2, 4))
         assert graph_biject(crossing, 2, "forward") == mg(6, (1, 4), (2, 3))
         assert graph_biject(mg(6, (1, 4), (2, 3)), 2, "backward") == crossing
         two_sided = mg(7, (1, 3), (2, 4), (3, 5))
         assert graph_biject(two_sided, 2, "forward") == mg(7, (1, 5), (2, 3), (3, 4))
 
-    def test_degree_sequence_read_four_times(self, monkeypatch):
-        # One forward call reads the degrees of the split graph and of the
-        # decoded one, and of the input and the output for the final check.
+    def test_degree_sequence_read_twice(self, monkeypatch):
+        # One forward call reads the degrees of the core it encodes and of
+        # the core it decodes, for the final check, and never of the whole
+        # vertex line: vertices 6 and 7 are isolated.
         from crossnest import bijection, codec
 
         calls = []
@@ -359,7 +361,23 @@ class TestGraphBiject:
         monkeypatch.setattr(codec, "degree_sequence", counted)
         monkeypatch.setattr(bijection, "degree_sequence", counted)
         graph_biject(mg(7, (1, 3), (2, 4), (3, 5)), 2, "forward")
-        assert len(calls) == 4
+        assert [graph.n for graph in calls] == [5, 5]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_equals_split_route_oracle(self, k):
+        # The shape-carrying codec with two-sided vertices split and
+        # isolated vertices tagged gives the same image as the staircase
+        # codec on the core, on every valid input with n <= 6 and m <= 3.
+        checked = 0
+        for n in range(7):
+            for m in range(4):
+                for graph in enumerate_graphs_by_size(n, m):
+                    for direction, order in (("forward", nest), ("backward", cross)):
+                        if order(graph) < k:
+                            image = graph_biject(graph, k, direction)
+                            assert image == split_graph_biject(graph, k, direction)
+                            checked += 1
+        assert checked == {2: 1900, 3: 2422}[k]
 
     def test_degree_preservation_sweep(self):
         for pairs in [
@@ -387,7 +405,7 @@ class TestPreconditionsMatchContainment:
     def test_rejects_exactly_the_containing(
         self, t, max_cells, max_total, direction, make, name
     ):
-        from oracles import brute_contains
+        from oracles import brute_contains, split_graph_biject
 
         rejected = 0
         for filling in sweep_fillings(max_cells, max_total):
@@ -403,7 +421,7 @@ class TestPreconditionsMatchContainment:
 
     @pytest.mark.parametrize("t, max_cells, max_total", [(2, 7, 3), (3, 9, 3)])
     def test_a1_rejects_exactly_the_f_containing(self, t, max_cells, max_total):
-        from oracles import brute_contains
+        from oracles import brute_contains, split_graph_biject
 
         rejected = 0
         for filling in sweep_fillings(max_cells, max_total):

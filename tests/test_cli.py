@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
 
@@ -111,6 +112,31 @@ class TestStats:
         lines = dict(line.split() for line in out.strip().splitlines())
         assert lines == {"cross": "1", "nest": "1", "cross*": "1", "nest*": "1"}
 
+    def test_graph_bijection_costs_edges_not_vertices(self, tmp_path):
+        # The bijection runs on the four vertices that carry an edge, so
+        # the other 10**18 - 4 ask for no memory.  The CLI runs in a child
+        # capped at 1 GiB of address space, so a route that allocates per
+        # vertex ends in exit 2 there instead of filling the host's memory.
+        import resource
+        import subprocess
+        import sys
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        path = tmp_path / "graph.txt"
+        path.write_text("1000000000000000000\n1 3 1\n2 4 1\n")
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "crossnest", "biject", "--t", "2",
+                "--direction", "fwd", "--level", "graph", "-i", str(path),
+            ],
+            capture_output=True, text=True, env=source_env(), timeout=120,
+            preexec_fn=cap_memory,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "1000000000000000000\n1 4 1\n2 3 1\n"
+
     def test_too_large_input_is_usage_error(self, capsys, tmp_path):
         # The delta encoding of 10**18 vertices prints a staircase of
         # 10**18 - 1 rows, which asks for more memory than the address space
@@ -169,11 +195,8 @@ class TestCodecCommands:
         assert code == 2
         assert "untaggable" in err
 
-    def test_encode_lr_and_graph_biject_share_the_tag_rule(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from crossnest import bijection, codec
-        from crossnest.graphs import Multigraph
+    def test_encode_lr_uses_the_tag_rule(self, capsys, tmp_path, monkeypatch):
+        from crossnest import codec
 
         rule = codec.tag_isolated
         tagged = []
@@ -189,9 +212,7 @@ class TestCodecCommands:
         code, out, _ = run_cli(capsys, "encode", "--mode", "lr", "-i", str(path))
         assert code == 0
         assert out == "0 0 0\n0 1\n1 0\n"
-        graph = Multigraph.from_pairs(6, [(1, 3, 1), (2, 4, 1)])
-        bijection.graph_biject(graph, 2, "forward")
-        assert tagged == [frozenset({5}), frozenset({5})]
+        assert tagged == [frozenset({5})]
 
 
 class TestBiject:
@@ -217,6 +238,45 @@ class TestBiject:
         assert code == 0
         assert out.strip().splitlines()[0] == "4"
         assert out.strip() == "4\n1 4 1\n2 3 1"
+
+    @pytest.mark.parametrize(
+        "edges, direction",
+        [
+            ([(1, 3, 1), (2, 4, 1)], "fwd"),
+            ([(1, 4, 1), (2, 3, 1)], "bwd"),
+            ([(1, 3, 1), (2, 4, 1), (3, 5, 1)], "fwd"),
+            ([(1, 4, 1), (2, 5, 2), (3, 6, 1)], "fwd"),
+        ],
+    )
+    def test_graph_level_isolated_vertices_only_relabel(
+        self, capsys, tmp_path, edges, direction
+    ):
+        # Two isolated vertices inserted anywhere among the n vertices of a
+        # graph with none: the image is the graph's image, its vertices
+        # relabelled as the insertion relabels the input's.
+        path = tmp_path / "graph.txt"
+
+        def biject(n, edges):
+            lines = [str(n)] + [f"{u} {v} {mult}" for u, v, mult in edges]
+            path.write_text("\n".join(lines) + "\n")
+            code, out, _ = run_cli(
+                capsys,
+                "biject", "--t", "2", "--direction", direction,
+                "--level", "graph", "-i", str(path),
+            )
+            assert code == 0
+            head, *rest = out.splitlines()
+            assert int(head) == n
+            return sorted(tuple(map(int, line.split())) for line in rest)
+
+        n = max(v for _, v, _ in edges)
+        image = biject(n, edges)
+        assert image != sorted(edges)
+        for kept in combinations(range(1, n + 3), n):
+            place = dict(zip(range(1, n + 1), kept))
+            moved = [(place[u], place[v], mult) for u, v, mult in edges]
+            expected = sorted((place[u], place[v], mult) for u, v, mult in image)
+            assert biject(n + 2, moved) == expected
 
     def test_precondition_violation_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "filling.txt"

@@ -25,9 +25,16 @@ from crossnest.experiments import (
     run_experiment,
     verify_equirestrictive,
 )
-from crossnest.graphs import DegreeSequence, is_feasible
-from crossnest.patterns import antiidentity, identity, parse_pattern
-from crossnest.shapes import Shape, SumProfile
+from crossnest.codec import delta_encode
+from crossnest.graphs import (
+    DegreeSequence,
+    Multigraph,
+    contains_subgraph,
+    degree_sequence,
+    is_feasible,
+)
+from crossnest.patterns import antiidentity, f_matrix, identity, parse_pattern
+from crossnest.shapes import Shape, SumProfile, sums_of
 
 from oracles import (
     avoiders_by_sums,
@@ -37,6 +44,7 @@ from oracles import (
     compositions as listed_compositions,
     cor3_9_by_listing,
     fillings_within,
+    graphs_by_size,
     k_nesting_pattern,
     kh_patterns,
 )
@@ -684,6 +692,52 @@ class TestCor3_9ByStaircase:
             assert (counts, failures) == cor3_9_by_listing(bounds, patterns)
         # The sequences on 6 vertices whose two counts split.
         assert len(failures) == 214
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_each_core_count_equals_listing_tallies(self, k, monkeypatch):
+        # The report shows totals and disagreeing sequences only, so an
+        # error that moves both patterns' counts alike cannot show in it.
+        # Each kernel call is checked instead: its staircase and sums are
+        # those of the core's graphs under delta_encode, and its count is
+        # the number of avoiders listed for every sequence with that core.
+        real = _kernel.count_avoiders
+        calls = []
+
+        def spy(parts, row_sums, col_sums, pat):
+            count = real(parts, row_sums, col_sums, pat)
+            calls.append(((tuple(parts), tuple(row_sums), tuple(col_sums), pat), count))
+            return count
+
+        monkeypatch.setattr(_kernel, "count_avoiders", spy)
+        run_experiment("cor3_9", {"n": 6, "m": 3, "k": k})
+
+        tallies = {}
+        for n in range(7):
+            for m in range(4):
+                for graph in graphs_by_size(n, m, simple=False):
+                    pairs = degree_sequence(graph).pairs
+                    tally = tallies.setdefault(pairs, [graph, 0, 0])
+                    for i, pattern in enumerate(kh_patterns(k), start=1):
+                        tally[i] += not contains_subgraph(graph, pattern)
+        expected = {}
+        for graph, avoid_x, avoid_y in tallies.values():
+            ends = sorted({vertex for u, v, _ in graph.edges for vertex in (u, v)})
+            label = {vertex: i for i, vertex in enumerate(ends, start=1)}
+            # An edgeless core goes on one vertex: its staircase is empty too.
+            core = Multigraph.from_pairs(
+                max(len(ends), 1), [(label[u], label[v], d) for u, v, d in graph.edges]
+            )
+            filling = delta_encode(core)
+            sums = sums_of(filling)
+            for pattern, count in ((f_matrix(k + 1), avoid_x), (identity(k + 1), avoid_y)):
+                key = (filling.shape.parts, sums.row_sums, sums.col_sums, pattern.rows)
+                assert expected.setdefault(key, count) == count
+        # One call per pattern and core; at k = 1 the two patterns coincide.
+        assert {key for key, _ in calls} == set(expected)
+        assert all(count == expected[key] for key, count in calls)
+        cores = {key[:3] for key in expected}
+        assert len(calls) == 2 * len(cores)
+        assert (len(tallies), len(cores)) == (950, 52)
 
     def test_split_core_fails_once_per_sequence(self, monkeypatch):
         # One nesting avoider too many for the core with lefts (0, 1, 1)

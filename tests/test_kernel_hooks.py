@@ -36,6 +36,8 @@ def test_kernel_reexports_pure_kernel(name):
         (bijection, "antiidentity"),
         (bijection, "f_matrix"),
         (bijection, "contains"),
+        (bijection, "lr_encode"),
+        (bijection, "lr_decode"),
         (experiments, "degree_sequence"),
         (experiments, "enumerate_perfect_matchings"),
         (experiments, "enumerate_graphs"),
