@@ -12,6 +12,7 @@ from ._purekern import (
     disagreeing_supports,
     iter_fillings,
     longest_chain,
+    walk_rows,
 )
 
 

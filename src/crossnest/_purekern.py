@@ -16,8 +16,9 @@ it.  ``count_avoiders`` is a layered row-by-row transfer that lists no
 filling; its docstring says how and why the count is exact.
 ``count_by_row_sums`` is a layered transfer too, with free column sums,
 keyed by row sums; both advance the occurrence state through
-``_occurrence_step``.  ``_row_fills`` steps like an odometer and the
-transfers and listings stack their rows, so nothing here recurses.
+``_occurrence_step``.  ``_row_fills`` steps like an odometer and every
+listing, here and of graphs and degree sequences, walks its rows on the
+explicit stack of ``walk_rows``, so nothing here recurses.
 ``disagreeing_supports`` walks a diagram's supports (sets of nonzero
 cells) with the same occurrence update, carrying two patterns at once,
 and yields those on which exactly one occurs: the only fillings on which
@@ -89,6 +90,33 @@ def _row_fills(
         left -= 1
 
 
+def walk_rows(nrows: int, rows: Callable, start: object) -> Iterator[tuple]:
+    """Yield ``(grid, state after the last row)`` for every grid of
+    ``nrows`` rows that ``rows`` builds from ``start``, depth first.
+
+    ``rows(i, state)`` yields ``(row, state below it)`` for each row i that
+    may follow the rows above, whose state is ``state``.  An explicit stack
+    of row iterators keeps the depth of the Python stack independent of
+    the number of rows.  With no rows the one empty grid is yielded.
+    """
+    if nrows == 0:
+        yield (), start
+        return
+    grid: list = []
+    stack = [rows(0, start)]
+    while stack:
+        i = len(stack) - 1
+        for row, state in stack[-1]:
+            del grid[i:]
+            grid.append(row)
+            if i + 1 < nrows:
+                stack.append(rows(i + 1, state))
+                break
+            yield tuple(grid), state
+        else:
+            stack.pop()
+
+
 def iter_fillings(
     parts: Sequence[int],
     row_sums: Sequence[int],
@@ -97,17 +125,12 @@ def iter_fillings(
     """Yield every filling of the diagram with the prescribed sums.
 
     Rows are filled top to bottom by ``_row_fills``, each in lexicographic
-    order, so the stream is lexicographic on the flattened cell values.  An
-    explicit stack of row iterators keeps the depth of the Python stack
-    independent of the number of rows.  Infeasible prescriptions yield
-    nothing; the empty diagram with the empty profile yields exactly one
-    empty filling.
+    order, and walked by ``walk_rows``, so the stream is lexicographic on
+    the flattened cell values.  Infeasible prescriptions yield nothing;
+    the empty diagram with the empty profile yields exactly one empty
+    filling.
     """
     if sum(row_sums) != sum(col_sums):
-        return
-    nrows = len(parts)
-    if nrows == 0:
-        yield ()
         return
     # Columns at or past bounds[i] have their last cell in row i.
     bounds = tuple(parts[1:]) + (0,)
@@ -121,19 +144,8 @@ def iter_fillings(
             for after, _ in _row_fills(caps, left):
                 yield tuple(map(sub, caps, after)) + forced, after
 
-    grid: list = []
-    stack = [rows(0, tuple(col_sums))]
-    while stack:
-        i = len(stack) - 1
-        for row, after in stack[-1]:
-            del grid[i:]
-            grid.append(row)
-            if i + 1 < nrows:
-                stack.append(rows(i + 1, after))
-                break
-            yield tuple(grid)
-        else:
-            stack.pop()
+    for grid, _ in walk_rows(len(parts), rows, tuple(col_sums)):
+        yield grid
 
 
 def contains(
@@ -319,14 +331,14 @@ def disagreeing_supports(
     to the avoiders of ``pat1`` less those of ``pat2``.
 
     Supports are walked row by row, carrying both patterns' levels of
-    ``_occurrence_step``, and a branch on which both patterns occur is
-    dropped.  Containment only grows with the support, so when neither
-    pattern occurs with every cell nonzero, no support tells them apart
-    and the diagram is skipped before the walk.  With every cell nonzero
-    an s x t pattern occurs exactly when the diagram holds an s x t
-    rectangle, that is when row s has at least t cells: the first s rows
-    and t columns then give an occurrence, and the last row and column of
-    any occurrence are at least the s-th and t-th.
+    ``_occurrence_step``; a branch on which both patterns occur is dropped,
+    and so is a last row on which neither does.  Containment only grows
+    with the support, so when neither pattern occurs with every cell
+    nonzero, no support tells them apart and the diagram is skipped before
+    the walk.  With every cell nonzero an s x t pattern occurs exactly when
+    the diagram holds an s x t rectangle, that is when row s has at least t
+    cells: the first s rows and t columns then give an occurrence, and the
+    last row and column of any occurrence are at least the s-th and t-th.
     """
     nrows = len(parts)
 
@@ -341,10 +353,11 @@ def disagreeing_supports(
     step2, start2 = _occurrence_step(parts, pat2)
     moves: dict = {}
 
-    def rows(i: int, levels1, levels2, room: int):
-        """``(support, levels1, levels2, room)`` below row i for each support
-        of row i with at most ``room`` cells; levels are None once their
-        pattern occurs.  The moves from each state are found once."""
+    def rows(i: int, state):
+        """``(support, (levels1, levels2, room) below it)`` for each support
+        of row i with at most ``room`` cells, under that state above it;
+        levels are None once their pattern occurs.  Moves are found once."""
+        levels1, levels2, room = state
         cap = min(room, parts[i])
         key = (i, levels1, levels2, cap)
         found = moves.get(key)
@@ -355,25 +368,14 @@ def disagreeing_supports(
                     support = sum(1 << j for j in cols)
                     after1 = None if levels1 is None else step1(i, levels1, support)
                     after2 = None if levels2 is None else step2(i, levels2, support)
-                    if after1 is not None or after2 is not None:
+                    occurred = (after1 is None) + (after2 is None)
+                    if occurred == 1 or (not occurred and i + 1 < nrows):
                         found.append((support, after1, after2, size))
         for support, after1, after2, size in found:
-            yield support, after1, after2, room - size
+            yield support, (after1, after2, room - size)
 
-    grid: list = []
-    stack = [rows(0, start1, start2, max_size)]
-    while stack:
-        i = len(stack) - 1
-        for support, after1, after2, room in stack[-1]:
-            del grid[i:]
-            grid.append(support)
-            if i + 1 < nrows:
-                stack.append(rows(i + 1, after1, after2, room))
-                break
-            if after1 is None or after2 is None:
-                yield tuple(grid), 1 if after1 is not None else -1
-        else:
-            stack.pop()
+    for grid, (after1, _, _) in walk_rows(nrows, rows, (start1, start2, max_size)):
+        yield grid, 1 if after1 is not None else -1
 
 
 @lru_cache(maxsize=1)

@@ -419,21 +419,21 @@ def _exp_cor3_3(bounds: dict) -> tuple[dict[str, int], list[str]]:
 def _degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
     """The feasible left-right degree sequences on n vertices with at most
     ``max_edges`` edges, in lexicographic order of ``pairs``.  They are
-    built vertex by vertex under ``is_feasible``'s prefix condition, and
-    the last vertex closes the shortfall of left degrees, so no branch of
-    the search ends without a sequence."""
+    walked vertex by vertex by ``walk_rows`` under ``is_feasible``'s prefix
+    condition, and the last vertex closes the shortfall of left degrees, so
+    no branch of the walk ends without a sequence."""
 
-    def extend(pairs: tuple, lefts: int, rights: int) -> Iterator[tuple]:
-        if len(pairs) == n - 1:
-            yield pairs + ((rights - lefts, 0),)
+    def rows(v: int, totals: tuple[int, int]):
+        """``(degrees of vertex v + 1, left and right totals so far)``."""
+        lefts, rights = totals
+        if v == n - 1:
+            yield (rights - lefts, 0), totals
             return
         for left in range(rights - lefts + 1):
             for right in range(max_edges - rights + 1):
-                yield from extend(
-                    pairs + ((left, right),), lefts + left, rights + right
-                )
+                yield (left, right), (lefts + left, rights + right)
 
-    for pairs in extend((), 0, 0) if n else [()]:
+    for pairs, _ in _kernel.walk_rows(n, rows, (0, 0)):
         yield DegreeSequence(pairs)
 
 

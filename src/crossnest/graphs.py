@@ -12,6 +12,8 @@ strict identity chain and k crossing edges a strict antidiagonal chain,
 the corner condition being their interleaving; weak chains repeat
 endpoints and count every copy of a multi-edge.  So the four statistics
 are taken by the kernel's one chain scan, ``_purekern.longest_chain``.
+``enumerate_graphs`` lists the graphs of a degree sequence as these rows,
+bottom-up, by the kernel's row-fill rule and row walk, without recursion.
 
 Perfect matchings are also counted without being listed, by their
 numbers of k-crossings and k-nestings: see ``matching_chain_counts``.
@@ -24,9 +26,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
+from operator import sub
 from typing import Iterable, Iterator
 
-from . import _kernel
+from . import _kernel, _purekern
 
 
 @dataclass(frozen=True)
@@ -178,45 +181,31 @@ def nest_weak(graph: Multigraph) -> int:
 
 
 def enumerate_graphs(degrees: DegreeSequence) -> Iterator[Multigraph]:
-    """All multigraphs with the given left-right degree sequence, each once.
-
-    Graphs are identified by their edge multisets; the stream is empty
-    exactly when the sequence is infeasible.
+    """All multigraphs with the given left-right degree sequence, each once,
+    in lexicographic order of their multiplicities read vertex by vertex
+    (v ascending, then u ascending, for the edge (u, v)); none exactly when
+    the sequence is infeasible.  Vertex v's row holds its left edges, a row
+    fill of its left degree under the right degrees still open before it.
     """
     if not is_feasible(degrees):
         return
-    n = degrees.n
     pairs = degrees.pairs
-    rem_right = [right for _, right in pairs]
-    chosen: list[tuple[int, int, int]] = []
 
-    def assign(v: int) -> Iterator[Multigraph]:
-        # v is the 0-based vertex whose left edges are being attached.
-        if v == n:
-            yield Multigraph(n, tuple(sorted(chosen)))
-            return
-        need = pairs[v][0]
-        if sum(rem_right[:v]) < need:
-            return
+    def rows(v: int, open_right: tuple[int, ...]):
+        """``(row, open right degrees of 1..v+1)`` for every row of vertex
+        v + 1 under the open right degrees of 1..v."""
+        left, right = pairs[v]
+        for after, _ in _purekern._row_fills(open_right, left):
+            yield tuple(map(sub, open_right, after)), after + (right,)
 
-        def pick(u: int, remaining: int) -> Iterator[Multigraph]:
-            if u == v:
-                if remaining == 0:
-                    yield from assign(v + 1)
-                return
-            cap = min(rem_right[u], remaining)
-            for count in range(cap + 1):
-                if count:
-                    rem_right[u] -= count
-                    chosen.append((u + 1, v + 1, count))
-                yield from pick(u + 1, remaining - count)
-                if count:
-                    rem_right[u] += count
-                    chosen.pop()
-
-        yield from pick(0, need)
-
-    yield from assign(0)
+    for grid, _ in _kernel.walk_rows(degrees.n, rows, ()):
+        edges = (
+            (u, v, mult)
+            for v, row in enumerate(grid, 1)
+            for u, mult in enumerate(row, 1)
+            if mult
+        )
+        yield Multigraph(degrees.n, tuple(sorted(edges)))
 
 
 def enumerate_graphs_by_size(n: int, m: int) -> Iterator[Multigraph]:

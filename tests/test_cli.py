@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+from crossnest import experiments
 from crossnest.cli import main
 
 
@@ -67,12 +68,13 @@ class TestEnumerateAndCount:
         assert code == 0
         assert out == "1" + " 0" * 1499 + "\n" + "0" + " 0" * 1499 + "\n"
 
-    def test_too_deep_input_is_usage_error(self, capsys):
-        # thm3_5 lists degree sequences by compositions, which recurse once
-        # per vertex.
-        code, out, err = run_cli(
-            capsys, "experiment", "thm3_5", "--bounds", "n=1500,total_degree=0"
-        )
+    def test_too_deep_input_is_usage_error(self, capsys, monkeypatch):
+        # No listing recurses, so a recursion past the limit is forced.
+        def too_deep(*_):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(experiments, "run_experiment", too_deep)
+        code, out, err = run_cli(capsys, "experiment", "thm3_5")
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")

@@ -31,6 +31,7 @@ from crossnest.graphs import (
     Multigraph,
     contains_subgraph,
     degree_sequence,
+    enumerate_graphs,
     is_feasible,
 )
 from crossnest.patterns import antiidentity, f_matrix, identity, parse_pattern
@@ -188,6 +189,20 @@ class TestCountAvoidersAgainstOracles:
         pat = parse_pattern(spec)
         count = _kernel.count_avoiders((2,) * 1500, (1,) * 1500, (750, 750), pat.rows)
         assert count == 1
+
+
+class TestListingsPastTheRecursionLimit:
+    def test_graphs_of_one_long_edge(self):
+        # One row per vertex, walked on the kernel's stack.
+        n = sys.getrecursionlimit() + 10
+        pairs = ((0, 1),) + ((0, 0),) * (n - 2) + ((1, 0),)
+        graphs = list(enumerate_graphs(DegreeSequence(pairs)))
+        assert graphs == [Multigraph(n, ((1, n, 1),))]
+
+    def test_edgeless_degree_sequences(self):
+        n = sys.getrecursionlimit() + 10
+        sequences = list(experiments._degree_sequences(n, 0))
+        assert sequences == [DegreeSequence(((0, 0),) * n)]
 
 
 SHARED_FILL_PATTERNS = ("I2", "J2", "I3", "J3", "M213", "F3")

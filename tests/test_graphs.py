@@ -253,6 +253,25 @@ class TestEnumerateGraphs:
         graphs = [g.edges for g in enumerate_graphs(degrees)]
         assert len(graphs) == len(set(graphs))
 
+    def test_lexicographic_order(self):
+        # Multiplicities read vertex by vertex: v ascending, then u ascending.
+        def multiplicities(graph):
+            mult = {(u, v): m for u, v, m in graph.edges}
+            return [
+                mult.get((u, v), 0)
+                for v in range(1, graph.n + 1)
+                for u in range(1, v)
+            ]
+
+        for n in range(6):
+            by_degrees: dict = {}
+            for m in range(4):
+                for graph in enumerate_graphs_by_size(n, m):
+                    by_degrees.setdefault(degree_sequence(graph), []).append(graph)
+            for degrees, graphs in by_degrees.items():
+                expected = sorted(graphs, key=multiplicities)
+                assert list(enumerate_graphs(degrees)) == expected, degrees
+
     def test_matchings_count(self):
         assert sum(1 for _ in enumerate_perfect_matchings(6)) == 15
         assert sum(1 for _ in enumerate_perfect_matchings(8)) == 105

@@ -18,6 +18,7 @@ from crossnest import _kernel, _purekern, bijection, codec, experiments, graphs,
         "count_by_row_sums",
         "disagreeing_supports",
         "longest_chain",
+        "walk_rows",
     ],
 )
 def test_kernel_reexports_pure_kernel(name):
