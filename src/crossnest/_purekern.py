@@ -59,8 +59,12 @@ def _row_fills(
     of its remainder in its last row.  So a row's entries in columns that
     end there are forced, and its other entries, the free ones, are the
     rows yielded here, with ``caps`` the free columns' remainders and
-    ``amount`` the row sum less the forced entries.
+    ``amount`` the row sum less the forced entries.  An amount of 0 has
+    the one row of zeros, yielded without a pass over the caps.
     """
+    if not amount:
+        yield caps, 0
+        return
     width = len(caps)
     after = list(caps)
     support = 0

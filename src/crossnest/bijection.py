@@ -7,9 +7,12 @@ and column sums are untouched.  Iterating the move (and its inverse) maps
 fillings avoiding the staircase pattern ``f_matrix(t)`` onto fillings
 avoiding the antidiagonal of order t, and a block-lifting construction
 turns that into the identity-vs-antidiagonal bijection of any order.
-Composed with the staircase codec on a graph's core (its vertices that
-carry an edge) this exchanges maximal crossing and nesting orders while
-fixing the whole left-right degree sequence.
+Order 2 lifts nothing, since the map it would lift is the order-1
+identity.  Composed with the staircase codec on a graph's core (its
+vertices that carry an edge) this exchanges maximal crossing and nesting
+orders while fixing the whole left-right degree sequence.  The core is
+relabelled by an increasing map, so a call builds one core graph and one
+image whose edges are already sorted and distinct.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .patterns import (  # noqa: F401
     max_antiidentity_order,
     max_identity_order,
 )
-from .shapes import Filling, Shape, sums_of
+from .shapes import Filling, Shape
 
 Direction = Literal["forward", "backward"]
 
@@ -56,17 +59,29 @@ class IterationLimitExceeded(RuntimeError):
 
 
 def _transfer(filling: Filling, decrement, increment) -> Filling:
-    grid = [list(row) for row in filling.rows]
-    for row, col in decrement:
-        grid[row - 1][col - 1] -= 1
-        if grid[row - 1][col - 1] < 0:
-            raise AssertionError("transfer would make an entry negative")
-    for row, col in increment:
-        grid[row - 1][col - 1] += 1
-    result = Filling(filling.shape, tuple(tuple(row) for row in grid))
-    if sums_of(result) != sums_of(filling):
-        raise AssertionError("transfer must preserve sums")
-    return result
+    """Subtract 1 at each decrement cell and add 1 at each increment cell,
+    both lists of 1-based cells; only the rows they touch are copied.
+
+    Every row and column sum is kept exactly when the two lists hold the
+    same rows and the same columns as multisets, so that is checked from
+    the moved cells alone rather than from the sums of every cell.
+    """
+    rows = list(filling.rows)
+    touched: dict[int, list[int]] = {}
+    for cells, step in ((decrement, -1), (increment, 1)):
+        for row, col in cells:
+            copy = touched.get(row)
+            if copy is None:
+                copy = touched[row] = list(rows[row - 1])
+            copy[col - 1] += step
+            if copy[col - 1] < 0:
+                raise AssertionError("transfer would make an entry negative")
+    for axis in (0, 1):
+        if sorted(c[axis] for c in decrement) != sorted(c[axis] for c in increment):
+            raise AssertionError("transfer must preserve sums")
+    for row, copy in touched.items():
+        rows[row - 1] = tuple(copy)
+    return Filling(filling.shape, tuple(rows))
 
 
 def _avoids_above(filling: Filling, t: int, row_limit: int) -> bool:
@@ -166,10 +181,10 @@ def lift_block(filling: Filling, inner: Callable[[Filling], Filling]) -> Filling
     Those rows are no longer than row i, so the eligible cells form a
     Ferrers sub-diagram.  ``inner`` receives the restriction of the
     filling to it and must return a filling of the same shape with the
-    same sums; the result is written back in place.  If a filling
-    avoids block_diag(M, identity(1)) its restriction avoids M, so with
-    ``inner`` the M-to-N bijection the output avoids
-    block_diag(N, identity(1)).
+    same sums; each row it changed is written back as a slice, the other
+    rows kept as they are.  If a filling avoids block_diag(M, identity(1))
+    its restriction avoids M, so with ``inner`` the M-to-N bijection the
+    output avoids block_diag(N, identity(1)).
     """
     sub_lengths = []
     reach = 0
@@ -188,19 +203,27 @@ def lift_block(filling: Filling, inner: Callable[[Filling], Filling]) -> Filling
     if not sub_lengths:
         return filling
     sub_shape = Shape(tuple(sub_lengths))
+    rows = list(filling.rows)
     restriction = Filling(
-        sub_shape,
-        tuple(filling.rows[i][: sub_lengths[i]] for i in range(len(sub_lengths))),
+        sub_shape, tuple(rows[i][:length] for i, length in enumerate(sub_lengths))
     )
     replaced = inner(restriction)
     if replaced.shape != sub_shape:
         raise AssertionError("inner bijection changed the sub-diagram shape")
-    if sums_of(replaced) != sums_of(restriction):
+    # The shapes agree, so the sums agree when every changed row keeps its
+    # sum and the changed rows' differences cancel in every column.
+    col_change = [0] * sub_lengths[0]
+    for i, (new, old) in enumerate(zip(replaced.rows, restriction.rows)):
+        if new == old:
+            continue
+        if sum(new) != sum(old):
+            raise AssertionError("inner bijection changed the prescribed sums")
+        for j, (a, b) in enumerate(zip(new, old)):
+            col_change[j] += a - b
+        rows[i] = new + rows[i][sub_lengths[i]:]
+    if any(col_change):
         raise AssertionError("inner bijection changed the prescribed sums")
-    grid = [list(row) for row in filling.rows]
-    for i, length in enumerate(sub_lengths):
-        grid[i][:length] = replaced.rows[i]
-    return Filling(filling.shape, tuple(tuple(row) for row in grid))
+    return Filling(filling.shape, tuple(rows))
 
 
 def it_jt_biject(filling: Filling, t: int, direction: Direction) -> Filling:
@@ -211,7 +234,9 @@ def it_jt_biject(filling: Filling, t: int, direction: Direction) -> Filling:
     the forward direction lifts the order-(t-1) bijection over a single-1
     block, turning identity avoidance into ``f_matrix(t)`` avoidance, and
     finishes with :func:`a1`; backward runs :func:`a2` then the lifted
-    inverse.  The two directions are mutually inverse.
+    inverse.  The two directions are mutually inverse.  At t = 2 the map
+    to lift is the order-1 identity, and lifting the identity gives back
+    its input, so order 2 runs :func:`a1` or :func:`a2` alone.
     """
     if t < 1:
         raise ValueError("order must be at least 1")
@@ -222,10 +247,14 @@ def it_jt_biject(filling: Filling, t: int, direction: Direction) -> Filling:
     if direction == "forward":
         if max_identity_order(filling) >= t:
             raise PreconditionError("input must avoid the identity pattern")
+        if t == 2:
+            return a1(filling, t)
         lifted = lift_block(filling, lambda f: it_jt_biject(f, t - 1, "forward"))
         return a1(lifted, t)
     # a2 rejects an input that contains the antidiagonal.
     unwound = a2(filling, t)
+    if t == 2:
+        return unwound
     return lift_block(unwound, lambda f: it_jt_biject(f, t - 1, "backward"))
 
 
@@ -254,8 +283,10 @@ def graph_biject(graph: Multigraph, k: int, direction: Direction) -> Multigraph:
         return graph
     ends = sorted({vertex for u, v, _ in graph.edges for vertex in (u, v)})
     label = {vertex: i for i, vertex in enumerate(ends, start=1)}
-    core = Multigraph.from_pairs(
-        len(ends), [(label[u], label[v], mult) for u, v, mult in graph.edges]
+    # Relabelling by an increasing map keeps the edges sorted and distinct,
+    # so the core and the image are built without merging repeats.
+    core = Multigraph(
+        len(ends), tuple((label[u], label[v], mult) for u, v, mult in graph.edges)
     )
     rewritten = it_jt_biject(delta_encode(core), k, direction)
     image = delta_decode(rewritten, len(ends))
@@ -263,6 +294,7 @@ def graph_biject(graph: Multigraph, k: int, direction: Direction) -> Multigraph:
     # degrees is comparing the graphs'.
     if degree_sequence(image) != degree_sequence(core):
         raise AssertionError("bijection must preserve the degree sequence")
-    return Multigraph.from_pairs(
-        graph.n, [(ends[u - 1], ends[v - 1], mult) for u, v, mult in image.edges]
+    return Multigraph(
+        graph.n,
+        tuple((ends[u - 1], ends[v - 1], mult) for u, v, mult in image.edges),
     )

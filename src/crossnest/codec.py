@@ -116,12 +116,16 @@ def delta_decode(filling: Filling, n: int) -> Multigraph:
         raise ValueError(
             f"expected staircase shape {expected}, got {filling.shape.parts}"
         )
-    pairs = []
-    for i, row in enumerate(filling.rows, start=1):
-        for j, mult in enumerate(row, start=1):
-            if mult:
-                pairs.append((j, n - i + 1, mult))
-    return Multigraph.from_pairs(n, pairs)
+    # Column u - 1 read bottom-up lists the edges (u, v) by increasing v,
+    # so the edges come out sorted and distinct.
+    rows = filling.rows
+    edges = tuple(
+        (u, v, mult)
+        for u in range(1, n)
+        for v in range(u + 1, n + 1)
+        if (mult := rows[n - v][u - 1])
+    )
+    return Multigraph(n, edges)
 
 
 def lr_encode(graph: LeftRightGraph) -> Filling:

@@ -35,6 +35,8 @@ from crossnest.patterns import (
     first_f_occurrence,
     first_j_occurrence,
     identity,
+    max_antiidentity_order,
+    max_identity_order,
 )
 from crossnest.shapes import enumerate_fillings, filling_from_rows, sums_of
 
@@ -264,6 +266,39 @@ class TestItJt:
         with pytest.raises(ValueError):
             it_jt_biject(filling_from_rows([[1]]), 2, "sideways")
 
+    def test_only_orders_above_two_lift(self, monkeypatch):
+        from crossnest import bijection
+
+        lifts = []
+
+        def spied(filling, inner):
+            lifts.append(filling)
+            return lift_block(filling, inner)
+
+        monkeypatch.setattr(bijection, "lift_block", spied)
+        # The filling avoids the order-2 identity, so it is an input at
+        # both orders; order 3 lifts whatever its eligible region holds.
+        filling = filling_from_rows([[0, 1, 1], [1, 1], [1]])
+        for t in (2, 3):
+            image = it_jt_biject(filling, t, "forward")
+            assert it_jt_biject(image, t, "backward") == filling
+            assert bool(lifts) == (t == 3)
+
+    def test_order_two_equals_the_identity_lift(self):
+        # Order 1 is the identity map, so order 2 is a1 or a2 around a lift
+        # of the identity.
+        checked = {"forward": 0, "backward": 0}
+        for filling in sweep_fillings(6, 3):
+            if max_identity_order(filling) < 2:
+                expected = a1(lift_block(filling, lambda f: f), 2)
+                assert it_jt_biject(filling, 2, "forward") == expected
+                checked["forward"] += 1
+            if max_antiidentity_order(filling) < 2:
+                expected = lift_block(a2(filling, 2), lambda f: f)
+                assert it_jt_biject(filling, 2, "backward") == expected
+                checked["backward"] += 1
+        assert checked == {"forward": 1500, "backward": 1500}
+
     def test_bijection_between_avoider_sets(self):
         from crossnest.experiments import iter_profiles, iter_shapes
 
@@ -434,34 +469,61 @@ class TestPreconditionsMatchContainment:
         assert rejected > 0
 
 
+def run_optimized(*calls):
+    """Run each call expression in a ``python -O`` child and return one
+    line per call: ``raised: <message>`` for an AssertionError, else
+    ``not raised``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    script = (
+        "from crossnest.bijection import _transfer, lift_block\n"
+        "from crossnest.shapes import Filling, filling_from_rows\n"
+        "for call in %r:\n"
+        "    try:\n"
+        "        eval(call)\n"
+        "    except AssertionError as exc:\n"
+        "        print('raised:', exc)\n"
+        "    else:\n"
+        "        print('not raised')\n"
+        "assert False, 'plain asserts are stripped'\n"
+    ) % (calls,)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()
+
+
 class TestChecksSurviveOptimize:
     def test_transfer_sum_check_runs_under_dash_o(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         # Moving a unit along a row keeps the row sums but breaks the
         # column sums, so the sum-preservation check must fire.
-        script = (
-            "from crossnest.bijection import _transfer\n"
-            "from crossnest.shapes import filling_from_rows\n"
-            "try:\n"
-            "    _transfer(filling_from_rows([[1, 0]]), [(1, 1)], [(1, 2)])\n"
-            "except AssertionError as exc:\n"
-            "    print('raised:', exc)\n"
-            "else:\n"
-            "    print('not raised')\n"
-            "assert False, 'plain asserts are stripped'\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "raised: transfer must preserve sums"
+        assert run_optimized(
+            "_transfer(filling_from_rows([[1, 0]]), [(1, 1)], [(1, 2)])"
+        ) == ["raised: transfer must preserve sums"]
+
+    def test_transfer_row_move_check_runs_under_dash_o(self):
+        # Moving a unit down a column keeps the column sums but breaks the
+        # row sums.
+        assert run_optimized(
+            "_transfer(filling_from_rows([[1], [0]]), [(1, 1)], [(2, 1)])"
+        ) == ["raised: transfer must preserve sums"]
+
+    def test_lift_block_sum_check_runs_under_dash_o(self):
+        # The eligible cells of [[0, 1, 0], [0, 0, 1]] are the top row's
+        # first two.  One inner map changes that row's sum, the other keeps
+        # it and moves its unit to another column.
+        lifted = "filling_from_rows([[0, 1, 0], [0, 0, 1]])"
+        assert run_optimized(
+            f"lift_block({lifted}, lambda f: Filling(f.shape, ((1, 1),)))",
+            f"lift_block({lifted}, lambda f: Filling(f.shape, ((1, 0),)))",
+        ) == ["raised: inner bijection changed the prescribed sums"] * 2

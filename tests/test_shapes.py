@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import product
+from operator import sub
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crossnest import _purekern
 from crossnest.shapes import (
     Filling,
     NotWeaklyDecreasing,
@@ -180,6 +184,26 @@ class TestEnumerateFillings:
                             1 for _ in enumerate_fillings(shape, profile)
                         )
                         assert observed == by_cols.get(col_sums, 0)
+
+
+class TestRowFills:
+    """The kernel's one row-fill rule against a listing of every row."""
+
+    @pytest.mark.parametrize("width", range(5))
+    def test_matches_product_listing(self, width):
+        for caps in product(range(4), repeat=width):
+            for amount in range(6):
+                expected = [
+                    row
+                    for row in product(*(range(cap + 1) for cap in caps))
+                    if sum(row) == amount
+                ]
+                fills = list(_purekern._row_fills(caps, amount))
+                rows = [tuple(map(sub, caps, after)) for after, _ in fills]
+                assert rows == sorted(set(expected)), (caps, amount)
+                for row, (_, support) in zip(rows, fills):
+                    bits = sum(1 << j for j, value in enumerate(row) if value)
+                    assert support == bits, (caps, amount, row)
 
 
 class TestTextFormat:
