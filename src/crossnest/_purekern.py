@@ -13,7 +13,8 @@ Rows and columns are 0-based here; the public API converts to 1-based.
 Fillings are built by one row-fill rule, stated in ``_row_fills``:
 ``iter_fillings`` lists them by it and ``count_avoiders`` counts them by
 it.  ``count_avoiders`` is a layered row-by-row transfer that lists no
-filling; its docstring says how and why the count is exact.
+filling, run on whichever of the diagram and its conjugate is no wider
+than tall; its docstring says how and why the count is exact.
 ``count_by_row_sums`` is a layered transfer too, with free column sums,
 keyed by row sums; both advance the occurrence state through
 ``_occurrence_step``.  ``_row_fills`` steps like an odometer and every
@@ -388,7 +389,8 @@ def _prescription_fills(
 ) -> dict:
     """The row fills ``count_avoiders`` has listed for the prescription,
     as ``list(_row_fills(caps, amount))`` by ``(caps, amount)``, which its
-    callers fill in.
+    callers fill in.  The key is the prescription as oriented for the
+    transfer: conjugate shape and swapped sums for a wide diagram.
 
     Only the last prescription is kept.  So each pattern counted on a
     prescription after the first reads the rows listed for it, and a
@@ -417,10 +419,25 @@ def count_avoiders(
     occurrence update of each levels and support is found once per row.
     Every column is emptied in its last row and the last row has no free
     column, so a prescription with no filling counts 0 by itself.
+
+    The transfer carries the shorter side.  A diagram wider than it is tall
+    (``parts[0] > len(parts)``) is counted on its conjugate, with row and
+    column sums swapped and the pattern transposed: transposing a filling
+    maps its occurrences of a pattern one to one onto the occurrences of
+    the transposed pattern, corner condition included, since a cell lies
+    in the diagram exactly when its mirror lies in the conjugate.  So the
+    carried remainders and the free columns of a row number at most
+    ``min(len(parts), parts[0])``.
     """
     nrows = len(parts)
     if nrows == 0:
         return 1
+    if parts[0] > nrows:
+        parts = tuple(
+            sum(1 for length in parts if length > j) for j in range(parts[0])
+        )
+        row_sums, col_sums = col_sums, row_sums
+        pat = tuple(zip(*pat))
     advance, start = _occurrence_step(parts, pat)
     # Columns at or past bounds[i] have their last cell in row i.
     bounds = tuple(parts[1:]) + (0,)

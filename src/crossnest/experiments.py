@@ -128,14 +128,31 @@ def _finish(
 
 
 def partitions(total: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Weakly decreasing positive tuples summing to ``total``."""
+    """Weakly decreasing positive tuples summing to ``total``, in reverse
+    lexicographic order."""
     if total == 0:
         yield ()
         return
     cap = total if max_part is None else min(max_part, total)
-    for first in range(cap, 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first,) + rest
+    if cap < 1:
+        return
+    # The first takes the largest parts it can; each next one lowers the
+    # last part above 1 by one and refills the rest with parts no larger.
+    parts = [cap] * (total // cap)
+    left = total % cap
+    while True:
+        if left:
+            parts.append(left)
+        yield tuple(parts)
+        left = 1
+        while parts[-1] == 1:
+            parts.pop()
+            left += 1
+            if not parts:
+                return
+        part = parts[-1] = parts[-1] - 1
+        parts.extend([part] * (left // part))
+        left %= part
 
 
 def iter_shapes(max_cells: int) -> Iterator[Shape]:
@@ -146,17 +163,27 @@ def iter_shapes(max_cells: int) -> Iterator[Shape]:
 
 
 def compositions(total: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples of length ``slots`` summing to ``total``."""
-    if slots == 0:
-        if total == 0:
-            yield ()
+    """Nonnegative integer tuples of length ``slots`` summing to ``total``,
+    in lexicographic order."""
+    if total < 0 or (not slots and total):
         return
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, slots - 1):
-            yield (head,) + rest
+    # The first puts everything in the last slot; each next one moves a
+    # unit from the last nonzero slot to the one before it and the rest of
+    # that slot to the last.
+    entries = [0] * slots
+    if slots:
+        entries[-1] = total
+    while True:
+        yield tuple(entries)
+        k = slots - 1
+        while k > 0 and not entries[k]:
+            k -= 1
+        if k <= 0:
+            return
+        rest = entries[k] - 1
+        entries[k] = 0
+        entries[k - 1] += 1
+        entries[-1] = rest
 
 
 def iter_profiles(shape: Shape, max_total: int) -> Iterator[SumProfile]:

@@ -47,17 +47,17 @@ class Multigraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        seen = set()
+        previous = (0, 0)
         for u, v, mult in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"bad edge ({u}, {v}) on {self.n} vertices")
             if mult < 1:
                 raise ValueError("edge multiplicity must be at least 1")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge entry ({u}, {v})")
-            seen.add((u, v))
-        if self.edges != tuple(sorted(self.edges)):
-            raise ValueError("edges must be sorted; use Multigraph.from_pairs")
+            if (u, v) <= previous:
+                if (u, v) == previous:
+                    raise ValueError(f"duplicate edge entry ({u}, {v})")
+                raise ValueError("edges must be sorted; use Multigraph.from_pairs")
+            previous = (u, v)
 
     @classmethod
     def from_pairs(

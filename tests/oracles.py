@@ -6,7 +6,9 @@ scans instead of greedy column picking, pairwise checks instead of chain
 dynamic programming, and half-edge matchings instead of multiplicity
 assignment.  ``cor3_9_by_listing`` takes ``cor3_9``'s counts by listing
 every graph and testing it for both patterns with ``contains_subgraph``
-instead of counting staircase fillings.  ``split_graph_biject`` maps a
+instead of counting staircase fillings.  ``partitions`` and
+``compositions`` recurse once per part or slot where the library steps
+from one tuple to the next.  ``split_graph_biject`` maps a
 graph through the shape-carrying codec, every two-sided vertex split into
 a closing and an opening half, instead of through the staircase codec on
 the graph's core.  The constructions at the end build the
@@ -34,7 +36,20 @@ from crossnest.graphs import (
 from crossnest.patterns import PatternMatrix
 
 
+def partitions(total, max_part=None):
+    """Partitions by first part, largest first, the rest recursively."""
+    if total == 0:
+        return [()]
+    cap = total if max_part is None else min(max_part, total)
+    result = []
+    for first in range(cap, 0, -1):
+        for rest in partitions(total - first, first):
+            result.append((first,) + rest)
+    return result
+
+
 def compositions(total, slots):
+    """Compositions by first slot, smallest first, the rest recursively."""
     if slots == 0:
         return [()] if total == 0 else []
     result = []

@@ -48,6 +48,7 @@ from oracles import (
     graphs_by_size,
     k_nesting_pattern,
     kh_patterns,
+    partitions as listed_partitions,
 )
 
 
@@ -69,6 +70,21 @@ class TestSweepHelpers:
         assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
         assert list(compositions(0, 0)) == [()]
         assert list(compositions(1, 0)) == []
+
+    def test_partitions_in_the_recursive_order(self):
+        for total in range(13):
+            assert list(partitions(total)) == listed_partitions(total), total
+            for cap in range(total + 2):
+                assert list(partitions(total, cap)) == listed_partitions(
+                    total, cap
+                ), (total, cap)
+
+    def test_compositions_in_the_recursive_order(self):
+        for total in range(7):
+            for slots in range(7):
+                assert list(compositions(total, slots)) == listed_compositions(
+                    total, slots
+                ), (total, slots)
 
     def test_profiles_match_shape(self):
         shape = Shape((2, 1))
@@ -168,6 +184,10 @@ class TestCountAvoidersAgainstOracles:
             ((5, 4, 4, 3), (4, 3, 4, 3), (2, 4, 4, 3, 1), 1127),
             ((5, 5, 4, 4), (4, 2, 3, 2), (3, 3, 2, 2, 1), 1018),
             ((6, 5, 4, 3, 2), (7, 3, 2, 1, 1), (2, 4, 2, 3, 2, 1), 988),
+            # Their conjugates, tall, so counted on the side they are given.
+            ((4, 4, 4, 3, 1), (2, 4, 4, 3, 1), (4, 3, 4, 3), 1127),
+            ((4, 4, 4, 4, 2), (3, 3, 2, 2, 1), (4, 2, 3, 2), 1018),
+            ((5, 5, 4, 3, 2, 1), (2, 4, 2, 3, 2, 1), (7, 3, 2, 1, 1), 988),
         ],
     )
     def test_deep_prescriptions(self, parts, row_sums, col_sums, fillings):
@@ -190,6 +210,30 @@ class TestCountAvoidersAgainstOracles:
         count = _kernel.count_avoiders((2,) * 1500, (1,) * 1500, (750, 750), pat.rows)
         assert count == 1
 
+    @pytest.mark.parametrize("spec", ["I2", "J2"])
+    def test_two_rows_of_forty_columns(self, spec):
+        # The wide mirror: each column holds one 1, and the only avoider
+        # puts every 1 of one row left of every 1 of the other.  Carried
+        # row by row, the column remainders would make C(40, 20) states.
+        pat = parse_pattern(spec)
+        count = _kernel.count_avoiders((40, 40), (20, 20), (1,) * 40, pat.rows)
+        assert count == 1
+
+    def test_transfer_carries_the_shorter_side(self, monkeypatch):
+        # Every listed row fill has one cap per free column, so the caps of
+        # a wide diagram are at most as many as its rows.
+        listed = record_row_fills(monkeypatch)
+        pats = [parse_pattern(spec).rows for spec in ORACLE_PATTERNS]
+        for shape in iter_shapes(7):
+            side = min(shape.num_rows, shape.num_cols)
+            for profile in iter_profiles(shape, 3):
+                del listed[:]
+                for pat in pats:
+                    _kernel.count_avoiders(
+                        shape.parts, profile.row_sums, profile.col_sums, pat
+                    )
+                assert all(len(caps) <= side for caps, _ in listed), shape.parts
+
 
 class TestListingsPastTheRecursionLimit:
     def test_graphs_of_one_long_edge(self):
@@ -203,6 +247,14 @@ class TestListingsPastTheRecursionLimit:
         n = sys.getrecursionlimit() + 10
         sequences = list(experiments._degree_sequences(n, 0))
         assert sequences == [DegreeSequence(((0, 0),) * n)]
+
+    def test_partition_into_ones(self):
+        n = sys.getrecursionlimit() + 10
+        assert list(partitions(n, 1)) == [(1,) * n]
+
+    def test_composition_of_zeros(self):
+        n = sys.getrecursionlimit() + 10
+        assert list(compositions(0, n)) == [(0,) * n]
 
 
 SHARED_FILL_PATTERNS = ("I2", "J2", "I3", "J3", "M213", "F3")

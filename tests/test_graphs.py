@@ -81,6 +81,24 @@ class TestMultigraph:
         with pytest.raises(ValueError):
             mg(2, (1, 3))
 
+    # The constructor itself, past from_pairs' aggregation and sorting.
+    def test_adjacent_duplicate_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate edge entry \(1, 2\)"):
+            Multigraph(3, ((1, 2, 1), (1, 2, 2)))
+
+    def test_unsorted_pair_rejected(self):
+        with pytest.raises(ValueError, match="edges must be sorted"):
+            Multigraph(3, ((2, 3, 1), (1, 2, 1)))
+
+    def test_non_adjacent_unsorted_duplicate_rejected(self):
+        # Out of order before it is a repeat: the order check reports it.
+        with pytest.raises(ValueError, match="edges must be sorted"):
+            Multigraph(3, ((1, 2, 1), (1, 3, 1), (1, 2, 1)))
+
+    def test_zero_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="multiplicity must be at least 1"):
+            Multigraph(3, ((1, 2, 0),))
+
 
 class TestDegreeSequence:
     def test_two_crossing(self):
