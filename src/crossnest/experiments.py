@@ -12,8 +12,12 @@ layered pass over the open arcs, ``graphs.matching_chain_counts``, and
 list no matching either.  The equirestrictive sweep lists only the
 fillings on the supports where the two patterns disagree, found by the
 kernel's support walk, and buckets them by prescription with a sign.
-``cor2_4``, ``thm3_5`` and ``counterexample_simple`` list their graphs
-outright.  The bijection-backed experiment additionally verifies the map
+``cor2_4``, ``cor3_9`` and ``thm3_5`` run per core, a degree sequence
+without its isolated vertices, walked by ``_cores``: isolated vertices
+neither cross nor nest, and a core on c vertices stands for C(n, c)
+sequences on n vertices.  ``cor2_4`` and ``thm3_5`` list each core's
+graphs once, and ``counterexample_simple`` lists the graphs of its one
+sequence.  The bijection-backed experiment additionally verifies the map
 itself: images must land in the target set, be distinct, invert, and
 cover everything.
 """
@@ -38,7 +42,6 @@ from .graphs import (
     cross,
     cross_weak,
     enumerate_graphs,
-    enumerate_graphs_by_size,
     matching_chain_counts,
     nest,
     nest_weak,
@@ -47,7 +50,11 @@ from .graphs import (
 
 # Not called here.  They stay bound because perfbench's tracer replaces
 # these names in this module's namespace, and fails where one is missing.
-from .graphs import degree_sequence, enumerate_perfect_matchings  # noqa: F401
+from .graphs import (  # noqa: F401
+    degree_sequence,
+    enumerate_graphs_by_size,
+    enumerate_perfect_matchings,
+)
 from .patterns import PatternMatrix, antiidentity, f_matrix, identity, m132, m213
 from .shapes import Shape, SumProfile, check_profile
 
@@ -387,16 +394,32 @@ def _order_size_counts(bounds: dict, simple: bool) -> tuple[dict[str, int], list
 
 def _exp_cor2_4(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Joint symmetry: #(crossing order r, weak nesting order s) equals
-    #(weak crossing order s, nesting order r), by order and size."""
+    #(weak crossing order s, nesting order r), by order and size.
+
+    An isolated vertex neither crosses nor nests, so the graphs of each
+    core are listed once and tabulated by the core's order c and size m;
+    a table of order c counts C(n, c) times in order n.
+    """
+    max_n, max_m = bounds["n"], bounds["m"]
+    tables: dict[tuple[int, int], tuple[Counter, Counter]] = {}
+    for core in _cores(max_n, max_m):
+        strict_weak, weak_strict = tables.setdefault(
+            (core.n, core.total_left), (Counter(), Counter())
+        )
+        for graph in enumerate_graphs(core):
+            strict_weak[(cross(graph), nest_weak(graph))] += 1
+            weak_strict[(cross_weak(graph), nest(graph))] += 1
     counts: dict[str, int] = {}
     failures: list[str] = []
-    for n in range(bounds["n"] + 1):
-        for m in range(bounds["m"] + 1):
-            strict_weak: Counter = Counter()
-            weak_strict: Counter = Counter()
-            for graph in enumerate_graphs_by_size(n, m):
-                strict_weak[(cross(graph), nest_weak(graph))] += 1
-                weak_strict[(cross_weak(graph), nest(graph))] += 1
+    for n in range(max_n + 1):
+        for m in range(max_m + 1):
+            strict_weak, weak_strict = Counter(), Counter()
+            for c in range(n + 1):
+                for total, table in zip(
+                    (strict_weak, weak_strict), tables.get((c, m), ())
+                ):
+                    for key, number in table.items():
+                        total[key] += comb(n, c) * number
             keys = {(r, s) for r, s in strict_weak} | {
                 (r, s) for s, r in weak_strict
             }
@@ -464,59 +487,130 @@ def _degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
         yield DegreeSequence(pairs)
 
 
+def _cores(max_n: int, max_m: int) -> Iterator[DegreeSequence]:
+    """The cores of the sequences of ``_degree_sequences`` on at most
+    ``max_n`` vertices: the feasible sequences with no (0, 0) pair and at
+    most ``max_m`` edges, by their number c of vertices and then in
+    lexicographic order of ``pairs``.  A core on c vertices stands for the
+    C(n, c) sequences on n vertices that place it among isolated ones.
+
+    The walk is that of ``_degree_sequences`` without the pair (0, 0).  A
+    core has no vertex or at least two, and every vertex is an edge end,
+    so c <= 2 * max_m.  A pair is taken only if the vertices after it can
+    still leave the last one a shortfall to close, so no branch of the
+    walk ends without a core.
+    """
+
+    def rows(v: int, state: tuple[int, int]):
+        """``(degrees of vertex v + 1, left shortfall and edges left)`` on
+        a core of c vertices."""
+        short, budget = state
+        if v == c - 1:
+            yield (short, 0), state
+            return
+        # The last vertex needs a shortfall to close.  Each vertex between
+        # it and this one takes a right degree, which spends budget and
+        # raises the shortfall, or else only a left degree, which lowers it.
+        between = c - 2 - v
+        for left in range(short + 1):
+            for right in range(budget + 1):
+                after, rest = short - left + right, budget - right
+                if (left or right) and after + 2 * min(rest, between) > between:
+                    yield (left, right), (after, rest)
+
+    for c in (0, *range(2, min(max_n, 2 * max_m) + 1)):
+        for pairs, _ in _kernel.walk_rows(c, rows, (0, max_m)):
+            yield DegreeSequence(pairs)
+
+
+def _weight(max_n: int, c: int) -> int:
+    """How many sequences on at most ``max_n`` vertices a core on c
+    vertices stands for: the sum of C(n, c) over n, C(max_n + 1, c + 1)."""
+    return comb(max_n + 1, c + 1)
+
+
+def _sequences_of(by_core: dict, max_n: int, max_edges: int) -> Iterator[tuple]:
+    """``(n, pairs, by_core[core])`` for each sequence of
+    ``_degree_sequences`` on at most ``max_n`` vertices whose core is a key
+    of ``by_core``, in order of n and then of ``pairs``.  The sequences
+    are walked only when ``by_core`` is not empty."""
+    if not by_core:
+        return
+    for n in range(max_n + 1):
+        for degrees in _degree_sequences(n, max_edges):
+            core = tuple(pair for pair in degrees.pairs if pair != (0, 0))
+            if core in by_core:
+                yield n, degrees.pairs, by_core[core]
+
+
+def _biject_core(core: DegreeSequence, k: int) -> tuple[int, int, list[str]]:
+    """``(graphs, graphs mapped forward, failures)`` of ``thm3_5`` on the
+    graphs of one core."""
+    graphs = 0
+    nonnesting = []
+    noncrossing = set()
+    for graph in enumerate_graphs(core):
+        graphs += 1
+        if nest(graph) < k:
+            nonnesting.append(graph)
+        if cross(graph) < k:
+            noncrossing.add(graph)
+    if len(nonnesting) != len(noncrossing):
+        return graphs, 0, [
+            f"{len(nonnesting)} nonnesting != {len(noncrossing)} noncrossing"
+        ]
+    failures = []
+    image = set()
+    for graph in nonnesting:
+        mapped = graph_biject(graph, k, "forward")
+        if mapped not in noncrossing:
+            failures.append("image leaves the target set")
+            continue
+        if mapped in image:
+            failures.append("bijection collided")
+            continue
+        image.add(mapped)
+        back = graph_biject(mapped, k, "backward")
+        if back != graph:
+            failures.append("backward failed to invert")
+    if image != noncrossing:
+        failures.append("image does not cover the target")
+    return graphs, len(nonnesting), failures
+
+
 def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
     """Per degree sequence: count equality AND a verified bijection.
 
     For every feasible left-right degree sequence within bounds, the
     graphs with nesting order below k are mapped forward, checked to land
     in the k-noncrossing set without collisions, checked to invert, and
-    the image must exhaust the target set.  Raises ``ValueError`` for an
-    odd ``total_degree``: every edge adds 2 to it, so an odd bound would
-    count as the even one below it.
+    the image must exhaust the target set.  Isolated vertices carry no
+    edge and ``graph_biject`` maps a graph on its core, so each core's
+    graphs are checked once and count for every sequence with that core;
+    a failing core fails once per such sequence.  Raises ``ValueError``
+    for an odd ``total_degree``: every edge adds 2 to it, so an odd bound
+    would count as the even one below it.
     """
     if bounds["total_degree"] % 2:
         raise ValueError(
             f"total_degree={bounds['total_degree']} is odd; every edge adds 2 to it"
         )
-    k = bounds["k"]
+    max_n, max_m, k = bounds["n"], bounds["total_degree"] // 2, bounds["k"]
     counts = {"sequences": 0, "graphs": 0, "bijected": 0}
-    failures: list[str] = []
-    for n in range(bounds["n"] + 1):
-        for degrees in _degree_sequences(n, bounds["total_degree"] // 2):
-            counts["sequences"] += 1
-            nonnesting = []
-            noncrossing = set()
-            for graph in enumerate_graphs(degrees):
-                counts["graphs"] += 1
-                if nest(graph) < k:
-                    nonnesting.append(graph)
-                if cross(graph) < k:
-                    noncrossing.add(graph)
-            if len(nonnesting) != len(noncrossing):
-                failures.append(
-                    f"D={degrees.pairs}: {len(nonnesting)} nonnesting != "
-                    f"{len(noncrossing)} noncrossing"
-                )
-                continue
-            image = set()
-            for graph in nonnesting:
-                mapped = graph_biject(graph, k, "forward")
-                counts["bijected"] += 1
-                if mapped not in noncrossing:
-                    failures.append(
-                        f"D={degrees.pairs}: image leaves the target set"
-                    )
-                    continue
-                if mapped in image:
-                    failures.append(f"D={degrees.pairs}: bijection collided")
-                    continue
-                image.add(mapped)
-                back = graph_biject(mapped, k, "backward")
-                if back != graph:
-                    failures.append(f"D={degrees.pairs}: backward failed to invert")
-            if image != noncrossing:
-                failures.append(f"D={degrees.pairs}: image does not cover the target")
-    return counts, failures
+    failing: dict[tuple[tuple[int, int], ...], list[str]] = {}
+    for core in _cores(max_n, max_m):
+        graphs, bijected, failures = _biject_core(core, k)
+        weight = _weight(max_n, core.n)
+        counts["sequences"] += weight
+        counts["graphs"] += weight * graphs
+        counts["bijected"] += weight * bijected
+        if failures:
+            failing[core.pairs] = failures
+    return counts, [
+        f"D={pairs}: {failure}"
+        for _, pairs, failures in _sequences_of(failing, max_n, max_m)
+        for failure in failures
+    ]
 
 
 def _exp_cor3_9(bounds: dict) -> tuple[dict[str, int], list[str]]:
@@ -526,36 +620,36 @@ def _exp_cor3_9(bounds: dict) -> tuple[dict[str, int], list[str]]:
     Both patterns put every opener before every closer, so under
     ``codec.delta_encode`` they are ``f_matrix(k + 1)`` and
     ``identity(k + 1)`` on the staircase.  Isolated vertices are zero rows
-    and columns, so a sequence counts as its core, its pairs other than
-    (0, 0), and each core is counted once.  The graphs with m edges are
-    the multisets of m vertex pairs.
+    and columns, so each core is counted once and stands for every
+    sequence with that core; a core whose counts split fails once per such
+    sequence.  The graphs with m edges are the multisets of m vertex pairs.
     """
-    k = bounds["k"]
+    max_n, max_m, k = bounds["n"], bounds["m"], bounds["k"]
     crossing, nesting = f_matrix(k + 1).rows, identity(k + 1).rows
-    by_core: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
-    counts: dict[str, int] = {"sequences": 0, "graphs": 0}
-    failures: list[str] = []
-    for n in range(bounds["n"] + 1):
-        counts["graphs"] += sum(
-            _count_compositions(m, comb(n, 2)) for m in range(bounds["m"] + 1)
-        )
-        for degrees in _degree_sequences(n, bounds["m"]):
-            counts["sequences"] += 1
-            core = tuple(pair for pair in degrees.pairs if pair != (0, 0))
-            if core not in by_core:
-                # Row sums are the left degrees of the core's vertices c..2,
-                # column sums the right degrees of its vertices 1..c-1.
-                parts = staircase(len(core))
-                rows = tuple(left for left, _ in reversed(core[1:]))
-                cols = tuple(right for _, right in core[:-1])
-                by_core[core] = (
-                    _kernel.count_avoiders(parts, rows, cols, crossing),
-                    _kernel.count_avoiders(parts, rows, cols, nesting),
-                )
-            avoid_x, avoid_y = by_core[core]
-            if avoid_x != avoid_y:
-                failures.append(f"n={n} D={degrees.pairs}: {avoid_x} != {avoid_y}")
-    return counts, failures
+    counts: dict[str, int] = {
+        "sequences": 0,
+        "graphs": sum(
+            _count_compositions(m, comb(n, 2))
+            for n in range(max_n + 1)
+            for m in range(max_m + 1)
+        ),
+    }
+    split: dict[tuple[tuple[int, int], ...], tuple[int, int]] = {}
+    for core in _cores(max_n, max_m):
+        counts["sequences"] += _weight(max_n, core.n)
+        # Row sums are the left degrees of the core's vertices c..2,
+        # column sums the right degrees of its vertices 1..c-1.
+        parts = staircase(core.n)
+        rows = tuple(left for left, _ in reversed(core.pairs[1:]))
+        cols = tuple(right for _, right in core.pairs[:-1])
+        avoid_x = _kernel.count_avoiders(parts, rows, cols, crossing)
+        avoid_y = _kernel.count_avoiders(parts, rows, cols, nesting)
+        if avoid_x != avoid_y:
+            split[core.pairs] = (avoid_x, avoid_y)
+    return counts, [
+        f"n={n} D={pairs}: {avoid_x} != {avoid_y}"
+        for n, pairs, (avoid_x, avoid_y) in _sequences_of(split, max_n, max_m)
+    ]
 
 
 # counterexample_simple's fixed degree sequence and order, as reported.

@@ -6,8 +6,10 @@ import random
 import re
 import sys
 import threading
-from itertools import combinations
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -30,9 +32,13 @@ from crossnest.graphs import (
     DegreeSequence,
     Multigraph,
     contains_subgraph,
+    cross,
+    cross_weak,
     degree_sequence,
     enumerate_graphs,
     is_feasible,
+    nest,
+    nest_weak,
 )
 from crossnest.patterns import antiidentity, f_matrix, identity, parse_pattern
 from crossnest.shapes import Shape, SumProfile, sums_of
@@ -735,6 +741,145 @@ class TestDegreeSequences:
         for max_edges in range(5):
             built = [d.pairs for d in experiments._degree_sequences(n, max_edges)]
             assert built == feasible_by_listing(n, max_edges)
+
+
+def core_of(pairs):
+    return tuple(pair for pair in pairs if pair != (0, 0))
+
+
+def weak_tables(core):
+    """The (cross, nest*) and (cross*, nest) tables of the core's graphs."""
+    strict_weak, weak_strict = Counter(), Counter()
+    for graph in enumerate_graphs(core):
+        strict_weak[cross(graph), nest_weak(graph)] += 1
+        weak_strict[cross_weak(graph), nest(graph)] += 1
+    return strict_weak, weak_strict
+
+
+def mirrored(table):
+    return Counter({(s, r): number for (r, s), number in table.items()})
+
+
+class TestCores:
+    @pytest.mark.parametrize("max_n", range(7))
+    def test_cores_of_listed_sequences(self, max_n):
+        for max_m in range(5):
+            walked = [core.pairs for core in experiments._cores(max_n, max_m)]
+            listed = {
+                core_of(degrees.pairs)
+                for n in range(max_n + 1)
+                for degrees in experiments._degree_sequences(n, max_m)
+            }
+            assert walked == sorted(listed, key=lambda core: (len(core), core))
+            assert not any((0, 0) in core for core in walked)
+            for n in range(max_n + 1):
+                sequences = experiments._degree_sequences(n, max_m)
+                assert sum(
+                    comb(n, len(core)) for core in walked if len(core) <= n
+                ) == sum(1 for _ in sequences)
+
+    @pytest.mark.parametrize("max_n", range(7))
+    def test_no_edges_leave_the_empty_core(self, max_n):
+        assert list(experiments._cores(max_n, 0)) == [DegreeSequence(())]
+
+    def test_every_branch_of_the_walk_ends_in_a_core(self, monkeypatch):
+        # Each state a row reaches gives at least one row below it, so no
+        # branch dies before its last vertex.
+        real = _kernel.walk_rows
+        states = []
+
+        def spy(nrows, rows, start):
+            def checked(i, state):
+                below = list(rows(i, state))
+                states.append((nrows, i, state, bool(below)))
+                return iter(below)
+
+            return real(nrows, checked, start)
+
+        monkeypatch.setattr(_kernel, "walk_rows", spy)
+        for max_m in range(6):
+            list(experiments._cores(7, max_m))
+        assert states and all(alive for *_, alive in states)
+
+
+class TestThm3_5PerCore:
+    def test_edgeless_sequences_list_one_graph(self, monkeypatch):
+        real = experiments.enumerate_graphs
+        listed = []
+
+        def spy(degrees):
+            listed.append(degrees)
+            return real(degrees)
+
+        monkeypatch.setattr(experiments, "enumerate_graphs", spy)
+        report = run_experiment("thm3_5", {"n": 300, "total_degree": 0})
+        assert report.counts == {
+            "sequences": 301,
+            "graphs": 301,
+            "bijected": 301,
+            "violations": 0,
+        }
+        assert listed == [DegreeSequence(())]
+
+    def test_three_nestings_against_three_crossings(self):
+        # k = 3 goes beyond Klazar's k = 2, where every sequence has one
+        # graph on each side; here 16 of the graphs have three nested edges.
+        report = run_experiment("thm3_5", {"n": 6, "total_degree": 8, "k": 3})
+        assert report.verdict == "pass", report.failures[:3]
+        assert report.counts == {
+            "sequences": 3325,
+            "graphs": 5129,
+            "bijected": 5113,
+            "violations": 0,
+        }
+
+    def test_split_core_fails_once_per_sequence(self, monkeypatch):
+        # The path u-v-w, u < v < w, is the one graph of the core with
+        # lefts (0, 1, 1) and rights (1, 1, 0).  Read as crossing twice, it
+        # leaves the noncrossing set, so every sequence with that core
+        # fails, each in its own line.
+        real = experiments.cross
+
+        def split(graph):
+            edges = graph.edges
+            path = graph.edge_count == 2 and edges[0][1] == edges[-1][0]
+            return 2 if path else real(graph)
+
+        monkeypatch.setattr(experiments, "cross", split)
+        report = run_experiment("thm3_5", {"n": 5, "total_degree": 4, "k": 2})
+        core = ((0, 1), (1, 1), (1, 0))
+        expected = []
+        for n in range(3, 6):
+            sequences = []
+            for places in combinations(range(n), 3):
+                pairs = [(0, 0)] * n
+                for place, pair in zip(places, core):
+                    pairs[place] = pair
+                sequences.append(tuple(pairs))
+            expected += [
+                f"D={pairs}: 1 nonnesting != 0 noncrossing" for pairs in sorted(sequences)
+            ]
+        assert len(expected) == 1 + 4 + 10
+        assert report.failures == tuple(expected)
+
+
+class TestCor2_4PerCore:
+    def test_weak_tables_mirror_on_every_core(self):
+        cores = list(experiments._cores(6, 4))
+        for core in cores:
+            strict_weak, weak_strict = weak_tables(core)
+            assert strict_weak == mirrored(weak_strict), core.pairs
+        assert len(cores) == 335
+
+    def test_strict_tables_do_not_mirror(self):
+        # Why cor2_4 pairs each strict statistic with a weak one: on this
+        # core the strict (cross, nest) table is not symmetric.
+        core = DegreeSequence(((0, 1), (0, 1), (0, 1), (1, 1), (1, 0), (2, 0)))
+        strict = Counter((cross(g), nest(g)) for g in enumerate_graphs(core))
+        assert strict == {(1, 2): 1, (2, 2): 6, (2, 3): 1, (3, 1): 1}
+        assert strict[1, 2] != strict[2, 1]
+        strict_weak, weak_strict = weak_tables(core)
+        assert strict_weak == mirrored(weak_strict)
 
 
 class TestCor3_9ByStaircase:
