@@ -15,11 +15,13 @@ kernel's support walk, and buckets them by prescription with a sign.
 ``cor2_4``, ``cor3_9`` and ``thm3_5`` run per core, a degree sequence
 without its isolated vertices, walked by ``_cores``: isolated vertices
 neither cross nor nest, and a core on c vertices stands for C(n, c)
-sequences on n vertices.  ``cor2_4`` and ``thm3_5`` list each core's
-graphs once, and ``counterexample_simple`` lists the graphs of its one
-sequence.  The bijection-backed experiment additionally verifies the map
-itself: images must land in the target set, be distinct, invert, and
-cover everything.
+sequences on n vertices.  A failing core fails once per sequence, and
+its sequences are its placements among isolated vertices, so a failure
+costs its own lines, not a walk of every sequence.  ``cor2_4`` and
+``thm3_5`` list each core's graphs once, and ``counterexample_simple``
+lists the graphs of its one sequence.  The bijection-backed experiment
+additionally verifies the map itself: images must land in the target
+set, be distinct, invert, and cover everything.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from collections import Counter
 from copy import deepcopy
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Iterator, Optional
 
@@ -466,37 +468,18 @@ def _exp_cor3_3(bounds: dict) -> tuple[dict[str, int], list[str]]:
     return counts, failures
 
 
-def _degree_sequences(n: int, max_edges: int) -> Iterator[DegreeSequence]:
-    """The feasible left-right degree sequences on n vertices with at most
-    ``max_edges`` edges, in lexicographic order of ``pairs``.  They are
-    walked vertex by vertex by ``walk_rows`` under ``is_feasible``'s prefix
-    condition, and the last vertex closes the shortfall of left degrees, so
-    no branch of the walk ends without a sequence."""
-
-    def rows(v: int, totals: tuple[int, int]):
-        """``(degrees of vertex v + 1, left and right totals so far)``."""
-        lefts, rights = totals
-        if v == n - 1:
-            yield (rights - lefts, 0), totals
-            return
-        for left in range(rights - lefts + 1):
-            for right in range(max_edges - rights + 1):
-                yield (left, right), (lefts + left, rights + right)
-
-    for pairs, _ in _kernel.walk_rows(n, rows, (0, 0)):
-        yield DegreeSequence(pairs)
-
-
 def _cores(max_n: int, max_m: int) -> Iterator[DegreeSequence]:
-    """The cores of the sequences of ``_degree_sequences`` on at most
-    ``max_n`` vertices: the feasible sequences with no (0, 0) pair and at
-    most ``max_m`` edges, by their number c of vertices and then in
-    lexicographic order of ``pairs``.  A core on c vertices stands for the
-    C(n, c) sequences on n vertices that place it among isolated ones.
+    """The cores of the feasible degree sequences on at most ``max_n``
+    vertices with at most ``max_m`` edges: the feasible sequences with no
+    (0, 0) pair, by their number c of vertices and then in lexicographic
+    order of ``pairs``.  A core on c vertices stands for the C(n, c)
+    sequences on n vertices that place it among isolated ones.
 
-    The walk is that of ``_degree_sequences`` without the pair (0, 0).  A
-    core has no vertex or at least two, and every vertex is an edge end,
-    so c <= 2 * max_m.  A pair is taken only if the vertices after it can
+    The cores are walked vertex by vertex under ``is_feasible``'s prefix
+    condition: no prefix of left degrees exceeds the right degrees before
+    it, and the last vertex closes the shortfall of left degrees.  A core
+    has no vertex or at least two, and every vertex is an edge end, so
+    c <= 2 * max_m.  A pair is taken only if the vertices after it can
     still leave the last one a shortfall to close, so no branch of the
     walk ends without a core.
     """
@@ -529,18 +512,22 @@ def _weight(max_n: int, c: int) -> int:
     return comb(max_n + 1, c + 1)
 
 
-def _sequences_of(by_core: dict, max_n: int, max_edges: int) -> Iterator[tuple]:
-    """``(n, pairs, by_core[core])`` for each sequence of
-    ``_degree_sequences`` on at most ``max_n`` vertices whose core is a key
-    of ``by_core``, in order of n and then of ``pairs``.  The sequences
-    are walked only when ``by_core`` is not empty."""
-    if not by_core:
-        return
+def _sequences_of(by_core: dict, max_n: int) -> Iterator[tuple]:
+    """``(n, pairs, by_core[core])`` for each sequence on at most ``max_n``
+    vertices whose core is a key of ``by_core``, in order of n and then of
+    ``pairs``.  The sequences of a core on c vertices are its placements
+    at c of the n vertices, the others isolated."""
     for n in range(max_n + 1):
-        for degrees in _degree_sequences(n, max_edges):
-            core = tuple(pair for pair in degrees.pairs if pair != (0, 0))
-            if core in by_core:
-                yield n, degrees.pairs, by_core[core]
+        placed = []
+        for core, value in by_core.items():
+            for spots in combinations(range(n), len(core)):
+                pairs = [(0, 0)] * n
+                for spot, pair in zip(spots, core):
+                    pairs[spot] = pair
+                placed.append((tuple(pairs), value))
+        placed.sort(key=lambda item: item[0])
+        for pairs, value in placed:
+            yield n, pairs, value
 
 
 def _biject_core(core: DegreeSequence, k: int) -> tuple[int, int, list[str]]:
@@ -608,7 +595,7 @@ def _exp_thm3_5(bounds: dict) -> tuple[dict[str, int], list[str]]:
             failing[core.pairs] = failures
     return counts, [
         f"D={pairs}: {failure}"
-        for _, pairs, failures in _sequences_of(failing, max_n, max_m)
+        for _, pairs, failures in _sequences_of(failing, max_n)
         for failure in failures
     ]
 
@@ -648,7 +635,7 @@ def _exp_cor3_9(bounds: dict) -> tuple[dict[str, int], list[str]]:
             split[core.pairs] = (avoid_x, avoid_y)
     return counts, [
         f"n={n} D={pairs}: {avoid_x} != {avoid_y}"
-        for n, pairs, (avoid_x, avoid_y) in _sequences_of(split, max_n, max_m)
+        for n, pairs, (avoid_x, avoid_y) in _sequences_of(split, max_n)
     ]
 
 

@@ -13,7 +13,8 @@ the corner condition being their interleaving; weak chains repeat
 endpoints and count every copy of a multi-edge.  So the four statistics
 are taken by the kernel's one chain scan, ``_purekern.longest_chain``.
 ``enumerate_graphs`` lists the graphs of a degree sequence as these rows,
-bottom-up, by the kernel's row-fill rule and row walk, without recursion.
+bottom-up, by the kernel's row-fill rule and row walk, without recursion,
+walking only the rows of vertices that carry an edge.
 
 Perfect matchings are also counted without being listed, by their
 numbers of k-crossings and k-nestings: see ``matching_chain_counts``.
@@ -186,26 +187,32 @@ def enumerate_graphs(degrees: DegreeSequence) -> Iterator[Multigraph]:
     (v ascending, then u ascending, for the edge (u, v)); none exactly when
     the sequence is infeasible.  Vertex v's row holds its left edges, a row
     fill of its left degree under the right degrees still open before it.
+    An isolated vertex has a zero row and column, so only the core, the
+    vertices that carry an edge, is walked, and its labels are mapped back
+    through the increasing list of those vertices: a graph costs its core,
+    not the whole sequence.
     """
     if not is_feasible(degrees):
         return
     pairs = degrees.pairs
+    ends = [v for v, pair in enumerate(pairs, 1) if pair != (0, 0)]
 
     def rows(v: int, open_right: tuple[int, ...]):
-        """``(row, open right degrees of 1..v+1)`` for every row of vertex
-        v + 1 under the open right degrees of 1..v."""
-        left, right = pairs[v]
+        """``(row, open right degrees of core vertices 1..v+1)`` for every
+        row of core vertex v + 1 under the open right degrees of 1..v."""
+        left, right = pairs[ends[v] - 1]
         for after, _ in _purekern._row_fills(open_right, left):
             yield tuple(map(sub, open_right, after)), after + (right,)
 
-    for grid, _ in _kernel.walk_rows(degrees.n, rows, ()):
-        edges = (
-            (u, v, mult)
-            for v, row in enumerate(grid, 1)
-            for u, mult in enumerate(row, 1)
+    for grid, _ in _kernel.walk_rows(len(ends), rows, ()):
+        edges = [
+            (ends[u], ends[v], mult)
+            for v, row in enumerate(grid)
+            for u, mult in enumerate(row)
             if mult
-        )
-        yield Multigraph(degrees.n, tuple(sorted(edges)))
+        ]
+        edges.sort()
+        yield Multigraph(degrees.n, tuple(edges))
 
 
 def enumerate_graphs_by_size(n: int, m: int) -> Iterator[Multigraph]:

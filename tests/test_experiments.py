@@ -250,9 +250,11 @@ class TestListingsPastTheRecursionLimit:
         assert graphs == [Multigraph(n, ((1, n, 1),))]
 
     def test_edgeless_degree_sequences(self):
-        n = sys.getrecursionlimit() + 10
-        sequences = list(experiments._degree_sequences(n, 0))
-        assert sequences == [DegreeSequence(((0, 0),) * n)]
+        max_n = sys.getrecursionlimit() + 10
+        sequences = list(experiments._sequences_of({(): "edgeless"}, max_n))
+        assert sequences == [
+            (n, ((0, 0),) * n, "edgeless") for n in range(max_n + 1)
+        ]
 
     def test_partition_into_ones(self):
         n = sys.getrecursionlimit() + 10
@@ -735,12 +737,21 @@ def feasible_by_listing(n, max_edges):
     return sorted(found)
 
 
-class TestDegreeSequences:
-    @pytest.mark.parametrize("n", range(7))
-    def test_feasible_sequences_in_pairs_order(self, n):
-        for max_edges in range(5):
-            built = [d.pairs for d in experiments._degree_sequences(n, max_edges)]
-            assert built == feasible_by_listing(n, max_edges)
+class TestSequencesOf:
+    def test_cores_expand_to_listed_sequences(self):
+        # Placing every core among isolated vertices gives each feasible
+        # sequence once, in the listing's order, tagged with its core.
+        for max_m in range(5):
+            listed = [
+                (n, pairs) for n in range(7) for pairs in feasible_by_listing(n, max_m)
+            ]
+            for max_n in range(7):
+                cores = {c.pairs: c.pairs for c in experiments._cores(max_n, max_m)}
+                expanded = list(experiments._sequences_of(cores, max_n))
+                assert [(n, pairs) for n, pairs, _ in expanded] == [
+                    (n, pairs) for n, pairs in listed if n <= max_n
+                ]
+                assert all(core_of(pairs) == core for _, pairs, core in expanded)
 
 
 def core_of(pairs):
@@ -765,18 +776,14 @@ class TestCores:
     def test_cores_of_listed_sequences(self, max_n):
         for max_m in range(5):
             walked = [core.pairs for core in experiments._cores(max_n, max_m)]
-            listed = {
-                core_of(degrees.pairs)
-                for n in range(max_n + 1)
-                for degrees in experiments._degree_sequences(n, max_m)
-            }
+            by_n = [feasible_by_listing(n, max_m) for n in range(max_n + 1)]
+            listed = {core_of(pairs) for sequences in by_n for pairs in sequences}
             assert walked == sorted(listed, key=lambda core: (len(core), core))
             assert not any((0, 0) in core for core in walked)
-            for n in range(max_n + 1):
-                sequences = experiments._degree_sequences(n, max_m)
+            for n, sequences in enumerate(by_n):
                 assert sum(
                     comb(n, len(core)) for core in walked if len(core) <= n
-                ) == sum(1 for _ in sequences)
+                ) == len(sequences)
 
     @pytest.mark.parametrize("max_n", range(7))
     def test_no_edges_leave_the_empty_core(self, max_n):
@@ -951,12 +958,23 @@ class TestCor3_9ByStaircase:
         assert len(calls) == 2 * len(cores)
         assert (len(tallies), len(cores)) == (950, 52)
 
-    def test_split_core_fails_once_per_sequence(self, monkeypatch):
+    @pytest.mark.parametrize("max_n, lines", [(5, 1 + 4 + 10), (30, comb(31, 4))])
+    def test_split_core_fails_once_per_sequence(self, max_n, lines, monkeypatch):
         # One nesting avoider too many for the core with lefts (0, 1, 1)
         # and rights (1, 1, 0), whose one graph is the path 1-2-3: every
-        # sequence with that core fails, each in its own line.
+        # sequence with that core fails, each in its own line.  The lines
+        # come from placing the core, so the only degree-sequence walks
+        # are those of the cores, one per core size.
         core = ((0, 1), (1, 1), (1, 0))
         real = _kernel.count_avoiders
+        real_walk = _kernel.walk_rows
+        walks = []
+
+        def walk_spy(nrows, rows, start):
+            walks.append((nrows, start))
+            return real_walk(nrows, rows, start)
+
+        monkeypatch.setattr(_kernel, "walk_rows", walk_spy)
 
         def split(parts, row_sums, col_sums, pat):
             count = real(parts, row_sums, col_sums, pat)
@@ -966,9 +984,9 @@ class TestCor3_9ByStaircase:
             return count + moved
 
         monkeypatch.setattr(_kernel, "count_avoiders", split)
-        report = run_experiment("cor3_9", {"n": 5, "m": 2, "k": 2})
+        report = run_experiment("cor3_9", {"n": max_n, "m": 2, "k": 2})
         expected = []
-        for n in range(3, 6):
+        for n in range(3, max_n + 1):
             sequences = []
             for places in combinations(range(n), 3):
                 pairs = [(0, 0)] * n
@@ -976,9 +994,10 @@ class TestCor3_9ByStaircase:
                     pairs[place] = pair
                 sequences.append(tuple(pairs))
             expected += [f"n={n} D={pairs}: 1 != 2" for pairs in sorted(sequences)]
-        assert len(expected) == 1 + 4 + 10
+        assert len(expected) == lines
         assert report.failures == tuple(expected)
         assert report.counts["violations"] == len(expected)
+        assert walks == [(c, (0, 2)) for c in (0, 2, 3, 4)]
 
 
 class TestPatternSpecIntegration:

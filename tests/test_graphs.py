@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crossnest import _purekern
 from crossnest.graphs import (
     DegreeSequence,
     Multigraph,
@@ -289,6 +290,22 @@ class TestEnumerateGraphs:
             for degrees, graphs in by_degrees.items():
                 expected = sorted(graphs, key=multiplicities)
                 assert list(enumerate_graphs(degrees)) == expected, degrees
+
+    def test_isolated_vertices_fill_no_row(self, monkeypatch):
+        # Only the two ends of the edge are walked, one row fill each.
+        n = 1000
+        fills = []
+        real = _purekern._row_fills
+
+        def spy(caps, amount):
+            fills.append((caps, amount))
+            return real(caps, amount)
+
+        monkeypatch.setattr(_purekern, "_row_fills", spy)
+        pairs = ((0, 0),) * 10 + ((0, 1),) + ((0, 0),) * (n - 12) + ((1, 0),)
+        graphs = list(enumerate_graphs(DegreeSequence(pairs)))
+        assert graphs == [Multigraph(n, ((11, n, 1),))]
+        assert fills == [((), 0), ((1,), 1)]
 
     def test_matchings_count(self):
         assert sum(1 for _ in enumerate_perfect_matchings(6)) == 15

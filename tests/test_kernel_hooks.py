@@ -6,7 +6,16 @@ from __future__ import annotations
 import pytest
 
 import crossnest
-from crossnest import _kernel, _purekern, bijection, codec, experiments, graphs, patterns
+from crossnest import (
+    _kernel,
+    _purekern,
+    bijection,
+    codec,
+    experiments,
+    graphs,
+    patterns,
+    shapes,
+)
 
 
 @pytest.mark.parametrize(
@@ -52,6 +61,26 @@ def test_traced_name_bound_in_owner(owner, name):
     # The tracer reads ``vars(owner)[name]`` and fails where it is missing,
     # so a name only inherited or imported elsewhere does not count.
     assert name in vars(owner)
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        (experiments, "compositions"),
+        (experiments, "count_avoiders"),
+        (experiments, "verify_equirestrictive"),
+        (experiments, "run_experiment"),
+        (graphs, "is_feasible"),
+        (graphs, "enumerate_graphs"),
+        (patterns, "contains"),
+        (shapes, "sums_of"),
+        (crossnest, "active_backend"),
+    ],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_benchmark_call_bound(owner, name):
+    # perfbench's workloads and run script call these by their module.
+    assert callable(getattr(owner, name, None))
 
 
 def test_active_backend_is_pure_python():
