@@ -2,10 +2,12 @@
 
 The core tool is a local transfer move on a filling: take the minimal
 antidiagonal occurrence of order t, subtract 1 from each of its cells and
-add 1 to the companion cells one staircase step up plus the corner.  Row
-and column sums are untouched.  Iterating the move (and its inverse) maps
-fillings avoiding the staircase pattern ``f_matrix(t)`` onto fillings
-avoiding the antidiagonal of order t, and a block-lifting construction
+add 1 to its companion cells (:func:`b_cells_of`), one staircase step up
+plus the corner, which form an ``f_matrix(t)`` occurrence.  Row and column
+sums are untouched.  One loop iterates the move forward (:func:`a1`) or
+backward (:func:`a2`), with strict progress checked in both directions; it
+maps fillings avoiding ``f_matrix(t)`` onto fillings avoiding the
+antidiagonal of order t, and a block-lifting construction
 turns that into the identity-vs-antidiagonal bijection of any order.
 Order 2 lifts nothing, since the map it would lift is the order-1
 identity.  Composed with the staircase codec on a graph's core (its
@@ -22,22 +24,16 @@ from typing import Callable, Literal
 # ``lr_encode`` and ``lr_decode`` are not called here.  They stay bound
 # because perfbench's tracer times the left-right codec by replacing these
 # names in this module's namespace.
-from .codec import (  # noqa: F401
-    b_cells_of,
-    delta_decode,
-    delta_encode,
-    lr_decode,
-    lr_encode,
-)
+from .codec import delta_decode, delta_encode, lr_decode, lr_encode  # noqa: F401
 from .graphs import Multigraph, cross, degree_sequence, nest
 # ``identity``, ``antiidentity``, ``f_matrix`` and ``contains`` are not called
 # here.  They stay bound because perfbench's tracer counts pattern builds and
 # times ``contains`` by replacing these names in this module's namespace.
 from .patterns import (  # noqa: F401
+    Cell,
     antidiagonal_cells,
     antiidentity,
     contains,
-    f_cells,
     f_matrix,
     first_f_occurrence,
     first_j_occurrence,
@@ -84,91 +80,79 @@ def _transfer(filling: Filling, decrement, increment) -> Filling:
     return Filling(filling.shape, tuple(rows))
 
 
-def _avoids_above(filling: Filling, t: int, row_limit: int) -> bool:
-    """Whether the rows strictly above ``row_limit`` avoid the order-t
-    antidiagonal."""
-    prefix = filling.shape.parts[: row_limit - 1]
-    sub = Filling(Shape(prefix), filling.rows[: row_limit - 1])
-    return max_antiidentity_order(sub) < t
+def b_cells_of(a_cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
+    """Companion cells of an antidiagonal cell list: (r_{s+1}, c_s) for
+    s < t, plus (r_1, c_t).  On an ``f_matrix(t)`` occurrence these are
+    the pattern's cells left to right, corner last."""
+    t = len(a_cells)
+    cells = [(a_cells[s + 1][0], a_cells[s][1]) for s in range(t - 1)]
+    cells.append((a_cells[0][0], a_cells[t - 1][1]))
+    return tuple(cells)
 
 
-def _iteration_cap(filling: Filling) -> int:
-    return filling.total * filling.shape.num_cells + 1
+def _iterate(filling: Filling, t: int, forward: bool) -> Filling:
+    """Repeat the transfer step until the search finds no occurrence.
 
-
-def a1(filling: Filling, t: int, *, check: bool = False) -> Filling:
-    """Iterate the transfer until no order-t antidiagonal remains.
-
-    Requires the input to avoid ``f_matrix(t)``; the result then avoids
-    the antidiagonal and ``a2`` undoes the whole run.  Progress is strict:
-    the minimal occurrence's bottom-left cell moves down-right, or its
-    entry drops, each step; a hard cap guards against stalls.  With
-    ``check=True`` every step also verifies that no antidiagonal exists
-    above the transfer row and that the cells just written are the first
-    ``f_matrix(t)`` occurrence of the new filling.
+    A forward step moves the first antidiagonal occurrence onto its
+    companion cells; a backward step moves the first ``f_matrix(t)``
+    occurrence, whose cells are those companions, back onto the
+    antidiagonal.  Progress is strict both ways: forward, the key (row,
+    column, -entry) of the antidiagonal's bottom-left cell, read before
+    the step, increases; backward the mirrored key (-row, -column, entry)
+    does, since a backward run retraces a forward one in reverse.  A hard
+    cap guards against stalls.
     """
     if t < 2:
         raise ValueError("order must be at least 2")
-    if first_f_occurrence(filling, t) is not None:
+    if forward and first_f_occurrence(filling, t) is not None:
         raise PreconditionError("input must avoid the f-pattern")
-    cap = _iteration_cap(filling)
+    if not forward and max_antiidentity_order(filling) >= t:
+        raise PreconditionError("input must avoid the antidiagonal pattern")
+    search = first_j_occurrence if forward else first_f_occurrence
+    cap = filling.total * filling.shape.num_cells + 1
     steps = 0
     prev_key = None
     current = filling
     while True:
-        occ = first_j_occurrence(current, t)
+        occ = search(current, t)
         if occ is None:
             return current
         steps += 1
         if steps > cap:
             raise IterationLimitExceeded(f"no fixpoint after {cap} steps")
         a_cells = tuple(antidiagonal_cells(occ))
-        anchor_row, anchor_col = a_cells[0]
-        key = (anchor_row, anchor_col, -current.entry(anchor_row, anchor_col))
+        b_cells = b_cells_of(a_cells)
+        row, col = a_cells[0]
+        entry = current.entry(row, col)
+        # A backward step adds 1 to this entry, so reading it before the
+        # step orders the keys as reading it after would.
+        key = (row, col, -entry) if forward else (-row, -col, entry)
         if prev_key is not None and key <= prev_key:
             raise AssertionError("transfer progress stalled")
         prev_key = key
-        b_cells = b_cells_of(a_cells)
-        current = _transfer(current, a_cells, b_cells)
-        if check:
-            if not _avoids_above(current, t, anchor_row):
-                raise AssertionError("antidiagonal appeared above the transfer row")
-            created = first_f_occurrence(current, t)
-            if created is None or tuple(f_cells(created)) != b_cells:
-                raise AssertionError(
-                    "the transferred cells are not the first f-pattern occurrence"
-                )
+        if forward:
+            current = _transfer(current, a_cells, b_cells)
+        else:
+            current = _transfer(current, b_cells, a_cells)
 
 
-def a2(filling: Filling, t: int, *, check: bool = False) -> Filling:
+def a1(filling: Filling, t: int) -> Filling:
+    """Iterate the transfer until no order-t antidiagonal remains.
+
+    Requires the input to avoid ``f_matrix(t)``; the result then avoids
+    the antidiagonal and :func:`a2` undoes the whole run.  Both run the
+    loop of :func:`_iterate`, which checks strict progress.
+    """
+    return _iterate(filling, t, forward=True)
+
+
+def a2(filling: Filling, t: int) -> Filling:
     """Iterate the inverse transfer until no ``f_matrix(t)`` remains.
 
     Requires the input to avoid the order-t antidiagonal; inverse of
-    :func:`a1`.  With ``check=True`` every step verifies the cells just
-    written are the first antidiagonal occurrence of the new filling.
+    :func:`a1`.
     """
-    if t < 2:
-        raise ValueError("order must be at least 2")
-    if max_antiidentity_order(filling) >= t:
-        raise PreconditionError("input must avoid the antidiagonal pattern")
-    cap = _iteration_cap(filling)
-    steps = 0
-    current = filling
-    while True:
-        occ = first_f_occurrence(current, t)
-        if occ is None:
-            return current
-        steps += 1
-        if steps > cap:
-            raise IterationLimitExceeded(f"no fixpoint after {cap} steps")
-        a_cells = tuple(antidiagonal_cells(occ))
-        current = _transfer(current, f_cells(occ), a_cells)
-        if check:
-            created = first_j_occurrence(current, t)
-            if created is None or tuple(antidiagonal_cells(created)) != a_cells:
-                raise AssertionError(
-                    "the transferred cells are not the first antidiagonal occurrence"
-                )
+    return _iterate(filling, t, forward=False)
 
 
 def lift_block(filling: Filling, inner: Callable[[Filling], Filling]) -> Filling:
@@ -230,23 +214,29 @@ def it_jt_biject(filling: Filling, t: int, direction: Direction) -> Filling:
     """Bijection between identity-avoiding and antidiagonal-avoiding
     fillings of order t, preserving shape and all sums.
 
-    Order 1 is the identity map (the two patterns coincide).  For t >= 2
-    the forward direction lifts the order-(t-1) bijection over a single-1
-    block, turning identity avoidance into ``f_matrix(t)`` avoidance, and
-    finishes with :func:`a1`; backward runs :func:`a2` then the lifted
-    inverse.  The two directions are mutually inverse.  At t = 2 the map
-    to lift is the order-1 identity, and lifting the identity gives back
-    its input, so order 2 runs :func:`a1` or :func:`a2` alone.
+    Order 1 is the identity map on its one input, the zero filling: the
+    two patterns coincide as a single nonzero cell, so any other filling
+    is rejected in both directions.  For t >= 2 the forward direction
+    lifts the order-(t-1) bijection over a single-1 block, turning
+    identity avoidance into ``f_matrix(t)`` avoidance, and finishes with
+    :func:`a1`; backward runs :func:`a2` then the lifted inverse.  The two
+    directions are mutually inverse.  At t = 2 the map to lift is the
+    order-1 identity, and lifting the identity gives back its input, so
+    order 2 runs :func:`a1` or :func:`a2` alone.
     """
     if t < 1:
         raise ValueError("order must be at least 1")
     if direction not in ("forward", "backward"):
         raise ValueError(f"unknown direction: {direction!r}")
+    if direction == "forward" and max_identity_order(filling) >= t:
+        raise PreconditionError("input must avoid the identity pattern")
     if t == 1:
+        # Only backward gets here with a nonzero filling; from order 2 on,
+        # a2 checks the antidiagonal.
+        if filling.total:
+            raise PreconditionError("input must avoid the antidiagonal pattern")
         return filling
     if direction == "forward":
-        if max_identity_order(filling) >= t:
-            raise PreconditionError("input must avoid the identity pattern")
         if t == 2:
             return a1(filling, t)
         lifted = lift_block(filling, lambda f: it_jt_biject(f, t - 1, "forward"))

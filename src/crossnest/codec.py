@@ -23,8 +23,6 @@ from .graphs import Multigraph, degree_sequence, staircase, staircase_cells
 from .patterns import first_j_occurrence  # noqa: F401
 from .shapes import Filling, validate_shape
 
-Cell = tuple[int, int]
-
 
 class EncodingError(ValueError):
     """Raised when a graph cannot be written into a positive-parts shape."""
@@ -208,12 +206,3 @@ def lr_decode(filling: Filling) -> LeftRightGraph:
         opening_vertex[s] for s in range(1, o + 1) if col_sums[s - 1] == 0
     )
     return LeftRightGraph(graph, tags)
-
-
-def b_cells_of(a_cells: tuple[Cell, ...]) -> tuple[Cell, ...]:
-    """Companion cells of an antidiagonal cell list: (r_{s+1}, c_s) for
-    s < t, plus (r_1, c_t)."""
-    t = len(a_cells)
-    cells = [(a_cells[s + 1][0], a_cells[s][1]) for s in range(t - 1)]
-    cells.append((a_cells[0][0], a_cells[t - 1][1]))
-    return tuple(cells)

@@ -185,15 +185,6 @@ def antidiagonal_cells(occ: Occurrence) -> list[Cell]:
     return [(occ.rows[t - 1 - i], occ.cols[i]) for i in range(t)]
 
 
-def f_cells(occ: Occurrence) -> list[Cell]:
-    """Cells of an order-t ``f_matrix`` occurrence listed left to right:
-    the t-1 antidiagonal cells, then the bottom-right corner cell."""
-    t = len(occ.cols)
-    cells = [(occ.rows[t - 2 - i], occ.cols[i]) for i in range(t - 1)]
-    cells.append((occ.rows[t - 1], occ.cols[t - 1]))
-    return cells
-
-
 def first_j_occurrence(filling: Filling, t: int) -> Optional[Occurrence]:
     """Minimum occurrence of the order-t antidiagonal pattern.
 

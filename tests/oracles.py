@@ -11,7 +11,10 @@ instead of counting staircase fillings.  ``partitions`` and
 from one tuple to the next.  ``split_graph_biject`` maps a
 graph through the shape-carrying codec, every two-sided vertex split into
 a closing and an opening half, instead of through the staircase codec on
-the graph's core.  The constructions at the end build the
+the graph's core.  ``stepwise`` runs ``a1`` or ``a2`` one transfer step at
+a time and checks every step, and the ``last_*_occurrence`` searches pick
+the last occurrence in the order where the library picks the first.  The
+constructions at the end build the
 split-graph patterns, split degree sequences and simple graphs that the
 tests feed the library.  ``SplitGraph`` and ``split_contains`` hold the
 split-graph dictionary's side rule, which the library does not need:
@@ -24,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 
-from crossnest.bijection import it_jt_biject
+from crossnest.bijection import _transfer, a1, a2, b_cells_of, it_jt_biject
 from crossnest.codec import lr_decode, lr_encode, tag_isolated
 from crossnest.graphs import (
     DegreeSequence,
@@ -33,7 +36,17 @@ from crossnest.graphs import (
     degree_sequence,
     enumerate_graphs_by_size,
 )
-from crossnest.patterns import PatternMatrix
+from crossnest.patterns import (
+    Occurrence,
+    PatternMatrix,
+    antidiagonal_cells,
+    antiidentity,
+    f_matrix,
+    first_f_occurrence,
+    first_j_occurrence,
+    max_antiidentity_order,
+)
+from crossnest.shapes import Filling, Shape
 
 
 def partitions(total, max_part=None):
@@ -184,6 +197,77 @@ def brute_occurrences(parts, grid, pat):
                     (tuple(r + 1 for r in rows), tuple(c + 1 for c in cols))
                 )
     return found
+
+
+def j_order(occ):
+    """Key of the order that ``first_j_occurrence`` minimises: the cells
+    left to right, higher cells first, ties broken leftward."""
+    return tuple(antidiagonal_cells(occ))
+
+
+def f_order(occ):
+    """Key of the order that ``first_f_occurrence`` minimises: the cells of
+    the ``f_matrix`` occurrence right to left, lower cells first, ties
+    broken rightward."""
+    cells = b_cells_of(tuple(antidiagonal_cells(occ)))
+    return tuple((-r, -c) for (r, c) in reversed(cells))
+
+
+def _last_occurrence(filling, pattern, order):
+    parts, grid = filling.shape.parts, filling.rows
+    occs = [
+        Occurrence(rows, cols)
+        for rows, cols in brute_occurrences(parts, grid, pattern.rows)
+    ]
+    return max(occs, key=order) if occs else None
+
+
+def last_j_occurrence(filling, t):
+    """The maximum order-t antidiagonal occurrence, or None."""
+    return _last_occurrence(filling, antiidentity(t), j_order)
+
+
+def last_f_occurrence(filling, t):
+    """The maximum ``f_matrix(t)`` occurrence, or None."""
+    return _last_occurrence(filling, f_matrix(t), f_order)
+
+
+def transfer_step(filling, t, forward):
+    """One step of ``a1`` (forward) or ``a2`` (backward) as ``(image,
+    antidiagonal cells)``, or None where the search finds no occurrence."""
+    occ = (first_j_occurrence if forward else first_f_occurrence)(filling, t)
+    if occ is None:
+        return None
+    a_cells = tuple(antidiagonal_cells(occ))
+    b_cells = b_cells_of(a_cells)
+    if forward:
+        return _transfer(filling, a_cells, b_cells), a_cells
+    return _transfer(filling, b_cells, a_cells), a_cells
+
+
+def stepwise(filling, t, forward):
+    """``a1`` (forward) or ``a2`` (backward) of the filling, run one
+    transfer step at a time with every step checked.
+
+    The opposite step must undo each step, and after a forward step the
+    rows above the moved antidiagonal's bottom-left cell must avoid the
+    order-t antidiagonal.  The stepped result must be the loop's.
+    """
+    # The loop checks the precondition and, when it returns, has taken the
+    # same steps, so the walk below ends.
+    expected = (a1 if forward else a2)(filling, t)
+    current = filling
+    while (step := transfer_step(current, t, forward)) is not None:
+        image, a_cells = step
+        undone = transfer_step(image, t, not forward)
+        assert undone is not None and undone[0] == current, "step not undone"
+        if forward:
+            above = a_cells[0][0] - 1
+            rows = Filling(Shape(image.shape.parts[:above]), image.rows[:above])
+            assert max_antiidentity_order(rows) < t, "antidiagonal above the step"
+        current = image
+    assert current == expected, "stepped result differs from the loop's"
+    return current
 
 
 def longest_increasing_chain(grid):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import pytest
 
-from crossnest.bijection import a1, a2, it_jt_biject
+from crossnest.bijection import it_jt_biject
 from crossnest.codec import delta_encode, lr_decode
 from crossnest.experiments import (
     iter_profiles,
@@ -35,7 +35,7 @@ from crossnest.patterns import (
 )
 from crossnest.shapes import Filling, enumerate_fillings
 
-from oracles import SplitGraph, matrix_of_split_graph, split_contains
+from oracles import SplitGraph, matrix_of_split_graph, split_contains, stepwise
 
 
 def report(number: int, passed: bool, detail: str) -> None:
@@ -84,8 +84,8 @@ def filling_sweep():
 
                 image = set()
                 for filling in chain_avoiders:
-                    forward = a1(filling, order, check=True)
-                    if a2(forward, order, check=True) != filling:
+                    forward = stepwise(filling, order, forward=True)
+                    if stepwise(forward, order, forward=False) != filling:
                         stats["inverse_failures"].append(
                             (shape.parts, profile, order, filling.rows)
                         )
@@ -101,8 +101,8 @@ def filling_sweep():
 
                 for rows in sorted(anti_avoiders):
                     filling = Filling(shape, rows)
-                    backward = a2(filling, order, check=True)
-                    if a1(backward, order, check=True) != filling:
+                    backward = stepwise(filling, order, forward=False)
+                    if stepwise(backward, order, forward=True) != filling:
                         stats["inverse_failures"].append(
                             (shape.parts, profile, order, rows)
                         )

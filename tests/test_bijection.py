@@ -3,15 +3,17 @@ graph-level bijection."""
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from crossnest.bijection import (
     PreconditionError,
-    _transfer,
     a1,
     a2,
+    b_cells_of,
     graph_biject,
     it_jt_biject,
     lift_block,
@@ -25,12 +27,11 @@ from crossnest.graphs import (
     enumerate_graphs_by_size,
     nest,
 )
-from crossnest.codec import b_cells_of
 from crossnest.patterns import (
+    Occurrence,
     antidiagonal_cells,
     antiidentity,
     contains,
-    f_cells,
     f_matrix,
     first_f_occurrence,
     first_j_occurrence,
@@ -40,7 +41,15 @@ from crossnest.patterns import (
 )
 from crossnest.shapes import enumerate_fillings, filling_from_rows, sums_of
 
-from oracles import brute_contains, split_graph_biject
+from oracles import (
+    brute_contains,
+    brute_occurrences,
+    last_f_occurrence,
+    last_j_occurrence,
+    split_graph_biject,
+    stepwise,
+    transfer_step,
+)
 
 
 def mg(n, *pairs):
@@ -58,15 +67,52 @@ def sweep_fillings(max_cells, max_total):
 def phi(filling, t):
     """One step of ``a1``: move the first order-t antidiagonal occurrence
     onto its companion cells."""
-    cells = tuple(antidiagonal_cells(first_j_occurrence(filling, t)))
-    return _transfer(filling, cells, b_cells_of(cells))
+    return transfer_step(filling, t, forward=True)[0]
 
 
 def psi(filling, t):
-    """One step of ``a2``: move the first ``f_matrix(t)`` occurrence back
-    onto its antidiagonal."""
-    occ = first_f_occurrence(filling, t)
-    return _transfer(filling, f_cells(occ), antidiagonal_cells(occ))
+    """One step of ``a2``: move the first ``f_matrix(t)`` occurrence, the
+    companion cells of its antidiagonal, back onto that antidiagonal."""
+    return transfer_step(filling, t, forward=False)[0]
+
+
+class TestCompanionCells:
+    # (r_{s+1}, c_s) for s < t, then the corner (r_1, c_t).
+    @pytest.mark.parametrize(
+        "a_cells, b_cells",
+        [
+            (((2, 1), (1, 2)), ((1, 1), (2, 2))),
+            (((5, 1), (3, 2), (1, 4)), ((3, 1), (1, 2), (5, 4))),
+        ],
+    )
+    def test_companion_cells(self, a_cells, b_cells):
+        assert b_cells_of(a_cells) == b_cells
+
+    @pytest.mark.parametrize("t, occurrences", [(2, 12580), (3, 64)])
+    def test_f_occurrence_cells_are_the_antidiagonal_companions(
+        self, t, occurrences
+    ):
+        # The companions of the selection's antidiagonal are the cells of
+        # the pattern's 1-entries under it, left to right, corner last.  An
+        # occurrence depends on the support alone, so every 0/1 filling of
+        # at most 9 cells is listed; f_matrix(3) needs a 3 x 3 square.
+        from crossnest.experiments import iter_shapes
+
+        pattern = f_matrix(t).rows
+        ones = [(i, j) for j in range(t) for i in range(t) if pattern[i][j]]
+        checked = 0
+        for shape in iter_shapes(9):
+            parts = shape.parts
+            for bits in product((0, 1), repeat=shape.num_cells):
+                entries = iter(bits)
+                grid = tuple(tuple(next(entries) for _ in range(p)) for p in parts)
+                for rows, cols in brute_occurrences(parts, grid, pattern):
+                    occ = Occurrence(rows, cols)
+                    cells = b_cells_of(tuple(antidiagonal_cells(occ)))
+                    assert cells == tuple((rows[i], cols[j]) for i, j in ones)
+                    assert cells[-1] == (rows[-1], cols[-1])
+                    checked += 1
+        assert checked == occurrences
 
 
 class TestPhiPsi:
@@ -128,20 +174,20 @@ class TestA1A2:
         assert a1(filling, 2) == filling
         assert a2(filling, 2) == filling
 
-    def test_round_trips_with_checks(self):
+    def test_round_trips_stepwise(self):
         # a2(a1(L)) = L for avoiders of the f-pattern, a1(a2(L)) = L for
-        # avoiders of the antidiagonal; per-step invariants enabled.
+        # avoiders of the antidiagonal; every step checked.
         for filling in sweep_fillings(6, 3):
             for t in (2, 3):
                 if not contains(filling, f_matrix(t)):
-                    forward = a1(filling, t, check=True)
+                    forward = stepwise(filling, t, forward=True)
                     assert not contains(forward, antiidentity(t))
                     assert sums_of(forward) == sums_of(filling)
-                    assert a2(forward, t, check=True) == filling
+                    assert stepwise(forward, t, forward=False) == filling
                 if not contains(filling, antiidentity(t)):
-                    backward = a2(filling, t, check=True)
+                    backward = stepwise(filling, t, forward=False)
                     assert not contains(backward, f_matrix(t))
-                    assert a1(backward, t, check=True) == filling
+                    assert stepwise(backward, t, forward=True) == filling
 
     @given(
         st.integers(1, 4).flatmap(
@@ -161,9 +207,34 @@ class TestA1A2:
     def test_round_trip_random(self, rows, t):
         filling = filling_from_rows(rows)
         if not contains(filling, f_matrix(t)):
-            assert a2(a1(filling, t, check=True), t, check=True) == filling
+            forward = stepwise(filling, t, forward=True)
+            assert stepwise(forward, t, forward=False) == filling
         if not contains(filling, antiidentity(t)):
-            assert a1(a2(filling, t, check=True), t, check=True) == filling
+            backward = stepwise(filling, t, forward=False)
+            assert stepwise(backward, t, forward=True) == filling
+
+
+# The searches that pick the last occurrence move the anchor back up and
+# to the left, so each direction's progress key falls on the second step.
+# With the first-occurrence searches the two fillings are each other's
+# images.
+STALLS = [("a1", ((0, 0, 1), (1, 1, 0))), ("a2", ((1, 0, 0), (0, 1, 1)))]
+
+
+class TestStrictProgress:
+    def test_the_stalling_pair_maps_across(self):
+        (_, forward_input), (_, backward_input) = STALLS
+        assert a1(filling_from_rows(forward_input), 2).rows == backward_input
+        assert a2(filling_from_rows(backward_input), 2).rows == forward_input
+
+    @pytest.mark.parametrize("run, rows", STALLS)
+    def test_last_occurrence_search_stalls(self, monkeypatch, run, rows):
+        from crossnest import bijection
+
+        monkeypatch.setattr(bijection, "first_j_occurrence", last_j_occurrence)
+        monkeypatch.setattr(bijection, "first_f_occurrence", last_f_occurrence)
+        with pytest.raises(AssertionError, match="transfer progress stalled"):
+            getattr(bijection, run)(filling_from_rows(rows), 2)
 
 
 class TestLiftBlock:
@@ -246,9 +317,18 @@ class TestLiftBlock:
 
 class TestItJt:
     def test_order_one_is_identity(self):
-        filling = filling_from_rows([[3, 1], [1, 0]])
+        # I_1 = J_1 is one nonzero cell, so the zero filling is the only
+        # input of order 1.
+        filling = filling_from_rows([[0, 0], [0]])
         assert it_jt_biject(filling, 1, "forward") == filling
         assert it_jt_biject(filling, 1, "backward") == filling
+
+    @pytest.mark.parametrize(
+        "direction, name", [("forward", "identity"), ("backward", "antidiagonal")]
+    )
+    def test_order_one_rejects_a_nonzero_filling(self, direction, name):
+        with pytest.raises(PreconditionError, match=name):
+            it_jt_biject(filling_from_rows([[0, 0], [0, 1]]), 1, direction)
 
     def test_order_two_swaps_the_two_singletons(self):
         identity_avoider = filling_from_rows([[0, 1], [1, 0]])
@@ -469,22 +549,22 @@ class TestPreconditionsMatchContainment:
         assert rejected > 0
 
 
-def run_optimized(*calls):
-    """Run each call expression in a ``python -O`` child and return one
-    line per call: ``raised: <message>`` for an AssertionError, else
-    ``not raised``."""
+def run_optimized(*calls, setup=""):
+    """Run ``setup`` and then each call expression in a ``python -O`` child
+    and return one line per call: ``raised: <message>`` for an
+    AssertionError, else ``not raised``."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p
+        p for p in (str(tests.parent / "src"), str(tests), env.get("PYTHONPATH")) if p
     )
-    script = (
-        "from crossnest.bijection import _transfer, lift_block\n"
+    script = setup + (
+        "from crossnest.bijection import _transfer, a1, a2, lift_block\n"
         "from crossnest.shapes import Filling, filling_from_rows\n"
         "for call in %r:\n"
         "    try:\n"
@@ -527,3 +607,15 @@ class TestChecksSurviveOptimize:
             f"lift_block({lifted}, lambda f: Filling(f.shape, ((1, 1),)))",
             f"lift_block({lifted}, lambda f: Filling(f.shape, ((1, 0),)))",
         ) == ["raised: inner bijection changed the prescribed sums"] * 2
+
+    def test_progress_check_runs_under_dash_o(self):
+        setup = (
+            "from crossnest import bijection\n"
+            "from oracles import last_f_occurrence, last_j_occurrence\n"
+            "bijection.first_j_occurrence = last_j_occurrence\n"
+            "bijection.first_f_occurrence = last_f_occurrence\n"
+        )
+        assert run_optimized(
+            *(f"{run}(filling_from_rows({rows}), 2)" for run, rows in STALLS),
+            setup=setup,
+        ) == ["raised: transfer progress stalled"] * 2

@@ -290,6 +290,19 @@ class TestBiject:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    def test_order_one_rejects_a_nonzero_filling(self, capsys, tmp_path, direction):
+        # I_1 = J_1 is one nonzero cell, as at the graph level, where one
+        # edge is already 1 pairwise nested edge.
+        path = tmp_path / "filling.txt"
+        path.write_text("1 0\n0 1\n")
+        code, out, err = run_cli(
+            capsys, "biject", "--t", "1", "--direction", direction, "-i", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert "must avoid" in err
+
 
 class TestVerifyAndExperiment:
     def test_verify_pass_exit_zero(self, capsys):

@@ -1,4 +1,4 @@
-"""Graph-to-filling codecs and the transfer move's companion cells."""
+"""Graph-to-filling codecs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from crossnest.codec import (
     EncodingError,
     LeftRightGraph,
-    b_cells_of,
     delta_decode,
     delta_encode,
     lr_decode,
@@ -219,19 +218,6 @@ class TestLrCodec:
         filling = lr_encode(LeftRightGraph(Multigraph(0, ())))
         assert filling.shape.parts == ()
         assert lr_decode(filling).graph.n == 0
-
-
-class TestCompanionCells:
-    # (r_{s+1}, c_s) for s < t, then the corner (r_1, c_t).
-    @pytest.mark.parametrize(
-        "a_cells, b_cells",
-        [
-            (((2, 1), (1, 2)), ((1, 1), (2, 2))),
-            (((5, 1), (3, 2), (1, 4)), ((3, 1), (1, 2), (5, 4))),
-        ],
-    )
-    def test_companion_cells(self, a_cells, b_cells):
-        assert b_cells_of(a_cells) == b_cells
 
 
 class TestLeftRightGraphSidesKeptOnce:

@@ -66,20 +66,34 @@ def test_traced_name_bound_in_owner(owner, name):
 @pytest.mark.parametrize(
     "owner, name",
     [
+        (bijection, "graph_biject"),
+        (bijection, "it_jt_biject"),
         (experiments, "compositions"),
         (experiments, "count_avoiders"),
         (experiments, "verify_equirestrictive"),
         (experiments, "run_experiment"),
-        (graphs, "is_feasible"),
+        (graphs, "DegreeSequence"),
+        (graphs, "Multigraph"),
+        (graphs, "cross"),
+        (graphs, "degree_sequence"),
         (graphs, "enumerate_graphs"),
+        (graphs, "is_feasible"),
+        (graphs, "nest"),
+        (patterns, "antiidentity"),
         (patterns, "contains"),
+        (patterns, "max_identity_order"),
+        (patterns, "parse_pattern"),
+        (shapes, "Shape"),
+        (shapes, "SumProfile"),
+        (shapes, "filling_from_rows"),
         (shapes, "sums_of"),
         (crossnest, "active_backend"),
     ],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_benchmark_call_bound(owner, name):
-    # perfbench's workloads and run script call these by their module.
+    # perfbench's workloads and run script call these, and nothing else of
+    # the library, by their module.
     assert callable(getattr(owner, name, None))
 
 

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from crossnest.patterns import (
     Occurrence,
     PatternMatrix,
-    antidiagonal_cells,
     antiidentity,
     block_diag,
     contains,
-    f_cells,
     f_matrix,
     first_f_occurrence,
     first_j_occurrence,
@@ -27,7 +25,13 @@ from crossnest.patterns import (
 )
 from crossnest.shapes import enumerate_fillings, filling_from_rows
 
-from oracles import brute_contains, brute_occurrences, longest_increasing_chain
+from oracles import (
+    brute_contains,
+    brute_occurrences,
+    f_order,
+    j_order,
+    longest_increasing_chain,
+)
 
 
 def small_fillings(max_cells=6, max_total=3):
@@ -242,10 +246,7 @@ class TestFirstOccurrences:
         # Candidates: cols (1,2) and (2? ..) -- the oracle is the order
         # itself: enumerate and minimize.
         occs = occurrences(filling, f_matrix(2))
-        keys = [
-            tuple((-r, -c) for (r, c) in reversed(f_cells(o))) for o in occs
-        ]
-        assert occ == occs[keys.index(min(keys))]
+        assert occ == min(occs, key=f_order)
 
     def test_avoiding_identity_means_no_f2(self):
         filling = filling_from_rows([[0, 1], [1, 0]])
@@ -256,15 +257,11 @@ class TestFirstOccurrences:
         # keys are injective over every filling with at most 9 cells.
         for filling in small_fillings(max_cells=9, max_total=3):
             for t in (2, 3):
-                occs = occurrences(filling, antiidentity(t))
-                keys = [tuple(antidiagonal_cells(o)) for o in occs]
-                assert len(set(keys)) == len(keys)
-                occs = occurrences(filling, f_matrix(t))
-                keys = [
-                    tuple((-r, -c) for (r, c) in reversed(f_cells(o)))
-                    for o in occs
-                ]
-                assert len(set(keys)) == len(keys)
+                for pattern, order in (
+                    (antiidentity(t), j_order), (f_matrix(t), f_order)
+                ):
+                    keys = [order(o) for o in occurrences(filling, pattern)]
+                    assert len(set(keys)) == len(keys)
 
 
 class TestParse:
@@ -289,19 +286,10 @@ class TestParse:
             parse_pattern("0,2;1,0")
 
 
-# The occurrence orders written out as keys over every occurrence: the
-# definitions that the depth-first searches must reproduce.
-def _j_order_by_listing(occ):
-    # Left to right; higher cells first, ties broken leftward.
-    return tuple(antidiagonal_cells(occ))
-
-
-def _f_order_by_listing(occ):
-    # Right to left; lower cells first, ties broken rightward.
-    return tuple((-r, -c) for (r, c) in reversed(f_cells(occ)))
-
-
 class TestSearchesMatchListingDefinitions:
+    # ``j_order`` and ``f_order`` write the occurrence orders out as keys
+    # over every occurrence: the definitions that the depth-first searches
+    # must reproduce.
     @pytest.fixture(scope="class")
     def fillings(self):
         return list(small_fillings(max_cells=8, max_total=3))
@@ -310,14 +298,14 @@ class TestSearchesMatchListingDefinitions:
     def test_first_j_is_minimum_of_all_occurrences(self, fillings, t):
         for filling in fillings:
             occs = occurrences(filling, antiidentity(t))
-            expected = min(occs, key=_j_order_by_listing) if occs else None
+            expected = min(occs, key=j_order) if occs else None
             assert first_j_occurrence(filling, t) == expected, filling
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_first_f_is_minimum_of_all_occurrences(self, fillings, t):
         for filling in fillings:
             occs = occurrences(filling, f_matrix(t))
-            expected = min(occs, key=_f_order_by_listing) if occs else None
+            expected = min(occs, key=f_order) if occs else None
             assert first_f_occurrence(filling, t) == expected, filling
 
     def test_max_antiidentity_order_is_largest_contained(self, fillings):
